@@ -222,6 +222,8 @@ pub const SCHEMAS: &[BenchSchema] = &[
             r("data.overheads[*].disabled_over_plain", Expect::NumPos),
             r("data.overheads[*].full_over_plain", Expect::NumPos),
             r("data.overheads[*].attrib_over_plain", Expect::NumPos),
+            // Observing without pipeline events must keep the fast path on.
+            r("data.overheads[*].fast_path_engaged", Expect::True),
             r("data.timings.results", Expect::ArrLen(8)),
             r("data.timings.results[*].median_ns", Expect::NumPos),
         ],

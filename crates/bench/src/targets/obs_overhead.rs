@@ -8,11 +8,14 @@
 //! 2. **Wall-clock overhead** — host time for the plain, disabled-recorder,
 //!    full-recorder and attribution-on runs of a representative kernel on
 //!    each machine; serial, for timing fidelity. The attribution column is
-//!    additionally bounded by a hard ceiling ([`ATTRIB_CEILING`]).
+//!    additionally bounded by a hard ceiling ([`ATTRIB_CEILING`]), and
+//!    `fast_path_engaged` records whether the disabled-recorder and
+//!    attribution runs took the block-batched fast path (read from the
+//!    process-global `imo_cpu::speed` counters around them).
 
 use imo_coherence::{simulate_baseline, simulate_observed, MachineParams, Scheme};
 use imo_core::Machine;
-use imo_cpu::{inorder, ooo, InOrderConfig, OooConfig, RunLimits};
+use imo_cpu::speed::speed_stats;
 use imo_faults::FaultPlan;
 use imo_obs::Recorder;
 use imo_util::json::Json;
@@ -44,6 +47,9 @@ pub struct Output {
     pub coh_mismatches: Vec<String>,
     /// The host-time bench runner.
     pub bench: Bench,
+    /// Per machine (ooo, in-order): whether the disabled-recorder and
+    /// attribution runs both took the block-batched fast path.
+    pub fast_path_engaged: Vec<bool>,
 }
 
 /// Checks one workload on both machines under both recorder modes,
@@ -96,56 +102,30 @@ pub fn compute() -> Output {
         .flatten()
         .collect();
 
-    // 2. Host-time overhead on a representative kernel per machine (serial).
+    // 2. Host-time overhead on a representative kernel per machine (serial),
+    //    with the fast-path counters read around the disabled and
+    //    attribution runs: neither asks for pipeline events, so both must
+    //    batch instructions.
     let mut b = Bench::new("obs_overhead");
+    let mut fast_path_engaged = Vec::new();
     let p = (spec::by_name("compress").expect("compress exists").build)(Scale::Test);
-    b.bench_sampled("ooo/plain", 5, || {
-        ooo::simulate(&p, &OooConfig::paper(), RunLimits::default()).expect("runs")
-    });
-    b.bench_sampled("ooo/disabled_recorder", 5, || {
-        let mut rec = Recorder::disabled();
-        ooo::simulate_observed(&p, &OooConfig::paper(), RunLimits::default(), &mut rec)
-            .expect("runs")
-            .0
-    });
-    b.bench_sampled("ooo/full_recorder", 5, || {
-        let mut rec = Recorder::all();
-        ooo::simulate_observed(&p, &OooConfig::paper(), RunLimits::default(), &mut rec)
-            .expect("runs")
-            .0
-    });
-    b.bench_sampled("ooo/attrib_recorder", 5, || {
-        let mut rec = attrib_recorder(&Machine::default_ooo());
-        ooo::simulate_observed(&p, &OooConfig::paper(), RunLimits::default(), &mut rec)
-            .expect("runs")
-            .0
-    });
-    b.bench_sampled("inorder/plain", 5, || {
-        inorder::simulate(&p, &InOrderConfig::paper(), RunLimits::default()).expect("runs")
-    });
-    b.bench_sampled("inorder/disabled_recorder", 5, || {
-        let mut rec = Recorder::disabled();
-        inorder::simulate_observed(&p, &InOrderConfig::paper(), RunLimits::default(), &mut rec)
-            .expect("runs")
-            .0
-    });
-    b.bench_sampled("inorder/full_recorder", 5, || {
-        let mut rec = Recorder::all();
-        inorder::simulate_observed(&p, &InOrderConfig::paper(), RunLimits::default(), &mut rec)
-            .expect("runs")
-            .0
-    });
-    b.bench_sampled("inorder/attrib_recorder", 5, || {
-        let mut rec = attrib_recorder(&Machine::default_in_order());
-        inorder::simulate_observed(&p, &InOrderConfig::paper(), RunLimits::default(), &mut rec)
-            .expect("runs")
-            .0
-    });
+    for (key, m) in [("ooo", Machine::default_ooo()), ("inorder", Machine::default_in_order())] {
+        let observed = |mut rec: Recorder| m.run_observed(&p, &mut rec).expect("runs").0;
+        b.bench_sampled(&format!("{key}/plain"), 5, || m.run(&p).expect("runs"));
+        let before = speed_stats();
+        b.bench_sampled(&format!("{key}/disabled_recorder"), 5, || observed(Recorder::disabled()));
+        let disabled = speed_stats().plain_instrs > before.plain_instrs;
+        b.bench_sampled(&format!("{key}/full_recorder"), 5, || observed(Recorder::all()));
+        let before = speed_stats();
+        b.bench_sampled(&format!("{key}/attrib_recorder"), 5, || observed(attrib_recorder(&m)));
+        let attrib = speed_stats().plain_instrs > before.plain_instrs;
+        fast_path_engaged.push(disabled && attrib);
+    }
 
-    Output { cpu_mismatches, coh_mismatches, bench: b }
+    Output { cpu_mismatches, coh_mismatches, bench: b, fast_path_engaged }
 }
 
-fn overheads(out: &Output) -> Vec<(String, f64, f64, f64)> {
+fn overheads(out: &Output) -> Vec<(String, f64, f64, f64, bool)> {
     let median = |id: &str| -> f64 {
         out.bench.results().iter().find(|r| r.id == id).map_or(0.0, |r| r.median_ns)
     };
@@ -159,12 +139,14 @@ fn overheads(out: &Output) -> Vec<(String, f64, f64, f64)> {
     };
     ["ooo", "inorder"]
         .iter()
-        .map(|m| {
+        .zip(&out.fast_path_engaged)
+        .map(|(m, &engaged)| {
             (
                 (*m).to_string(),
                 ratio(&format!("{m}/disabled_recorder"), &format!("{m}/plain")),
                 ratio(&format!("{m}/full_recorder"), &format!("{m}/plain")),
                 ratio(&format!("{m}/attrib_recorder"), &format!("{m}/plain")),
+                engaged,
             )
         })
         .collect()
@@ -176,13 +158,14 @@ pub fn payload(out: &Output) -> Json {
     let identical = out.cpu_mismatches.is_empty();
     let coh_identical = out.coh_mismatches.is_empty();
     let within_ceiling =
-        overheads(out).iter().all(|&(_, _, _, attrib)| attrib > 0.0 && attrib <= ATTRIB_CEILING);
-    let rows = overheads(out).into_iter().map(|(m, disabled, full, attrib)| {
+        overheads(out).iter().all(|&(_, _, _, attrib, _)| attrib > 0.0 && attrib <= ATTRIB_CEILING);
+    let rows = overheads(out).into_iter().map(|(m, disabled, full, attrib, engaged)| {
         Json::obj([
             ("machine", Json::from(m)),
             ("disabled_over_plain", Json::from(disabled)),
             ("full_over_plain", Json::from(full)),
             ("attrib_over_plain", Json::from(attrib)),
+            ("fast_path_engaged", Json::Bool(engaged)),
         ])
     });
     Json::obj([
@@ -215,13 +198,20 @@ pub fn print(out: &Output) {
     println!("identity: all workloads x machines bit-identical under the recorder\n");
 
     print!("{}", out.bench.render());
-    let mut t = Table::new(["machine", "disabled / plain", "full / plain", "attrib / plain"]);
-    for (m, disabled, full, attrib) in overheads(out) {
+    let mut t =
+        Table::new(["machine", "disabled / plain", "full / plain", "attrib / plain", "fast path"]);
+    for (m, disabled, full, attrib, engaged) in overheads(out) {
         assert!(
             attrib > 0.0 && attrib <= ATTRIB_CEILING,
             "{m}: attribution overhead {attrib:.3}x exceeds the {ATTRIB_CEILING}x ceiling"
         );
-        t.row([m, format!("{disabled:.3}x"), format!("{full:.3}x"), format!("{attrib:.3}x")]);
+        t.row([
+            m,
+            format!("{disabled:.3}x"),
+            format!("{full:.3}x"),
+            format!("{attrib:.3}x"),
+            if engaged { "engaged" } else { "OFF" }.to_string(),
+        ]);
     }
     println!();
     print!("{}", t.render());

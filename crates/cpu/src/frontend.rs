@@ -17,7 +17,7 @@ use imo_faults::HandlerFaults;
 use imo_isa::exec::{ArchState, ControlFlow, ExecError, Executor, MissDepth, MissOracle};
 use imo_isa::{BlockCache, Instr, Program};
 use imo_mem::{HitLevel, MemoryHierarchy, ProbeResult};
-use imo_obs::{EventKind, Recorder};
+use imo_obs::{Category, EventKind, Recorder};
 use imo_util::json::Json;
 use imo_util::snapshot::{self, Snapshot, SnapshotError};
 
@@ -465,6 +465,200 @@ impl<'p> FrontEnd<'p> {
         })
     }
 
+    /// Instruction-cache line crossing at `pc` (with next-line stream
+    /// prefetch, so straight-line code misses once per redirect, not once
+    /// per line). Returns `true` when an I-miss stalls fetch until
+    /// `resume_at`.
+    #[inline]
+    fn cross_line(
+        &mut self,
+        pc: u64,
+        cycle: u64,
+        hier: &mut MemoryHierarchy,
+        obs: &mut Option<&mut Recorder>,
+    ) -> bool {
+        let line = pc & !(self.line_bytes - 1);
+        if self.cur_line == Some(line) {
+            return false;
+        }
+        let lvl = hier.probe_inst(pc);
+        hier.prefetch_inst(line + self.line_bytes);
+        self.cur_line = Some(line);
+        if lvl != HitLevel::L1 {
+            imo_obs::record(obs, cycle, EventKind::InstMiss { pc });
+            let ready = hier.schedule_inst(lvl, cycle);
+            if ready > cycle {
+                self.resume_at = ready;
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Fetches, functionally executes and steers the one instruction at
+    /// `pc` — the per-instruction arm shared by [`FrontEnd::fetch`] and
+    /// [`FrontEnd::fetch_fast`]. Records its fetch, cache-outcome,
+    /// trap-entry and handler-fault events. Returns the entry and whether
+    /// it ends the fetch group.
+    #[inline(always)]
+    fn fetch_one(
+        &mut self,
+        cycle: u64,
+        pc: u64,
+        hier: &mut MemoryHierarchy,
+        obs: &mut Option<&mut Recorder>,
+    ) -> Result<(Fetched, bool), ExecError> {
+        let mut oracle = HierOracle { hier, last: None, last_addr: 0, last_prefetch: false };
+        let info = self.exec.step(&mut oracle)?;
+        let probe = oracle.last;
+        let (probe_addr, probe_prefetch) = (oracle.last_addr, oracle.last_prefetch);
+
+        // Pointer-chase provenance: a data reference whose base register
+        // was last written by a load is chasing a pointer. Loads taint
+        // their destination; any other writer cleans it.
+        let ptr_base = match info.instr {
+            Instr::Load { base, .. } | Instr::Store { base, .. } | Instr::Prefetch { base, .. } => {
+                self.reg_from_load & reg_bit(base) != 0
+            }
+            _ => false,
+        };
+        if let Some(rd) = info.instr.dest() {
+            if !rd.is_zero() {
+                if matches!(info.instr, Instr::Load { .. }) {
+                    self.reg_from_load |= reg_bit(rd);
+                } else {
+                    self.reg_from_load &= !reg_bit(rd);
+                }
+            }
+        }
+
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let mut f = Fetched {
+            seq,
+            pc,
+            instr: info.instr,
+            fetch_cycle: cycle,
+            probe,
+            informing_trap: false,
+            resolve: Resolve::None,
+            cc_dep: None,
+            is_cond_branch: matches!(info.instr, Instr::Branch { .. }),
+        };
+        if matches!(info.instr, Instr::BranchOnMiss { .. } | Instr::BranchOnMemMiss { .. }) {
+            f.cc_dep = self.last_mem_seq;
+        }
+        if info.instr.is_data_ref() {
+            self.last_mem_seq = Some(seq);
+        }
+        imo_obs::record(obs, cycle, EventKind::Fetch { seq, pc });
+        if let Some(p) = probe {
+            imo_obs::record(
+                obs,
+                cycle,
+                EventKind::DataAccess {
+                    served: p.served_by(),
+                    pc,
+                    addr: probe_addr,
+                    line: p.line,
+                    store: p.is_store,
+                    prefetch: probe_prefetch,
+                    ptr_base,
+                },
+            );
+        }
+
+        let ends_group = match info.control {
+            ControlFlow::Halt => {
+                self.halted = true;
+                true
+            }
+            ControlFlow::Sequential => false,
+            // A `bmiss` on a hit is statically predicted not-taken: correct.
+            ControlFlow::NotTaken => {
+                // Predicted taken, actually fell through: mispredict.
+                let mispredicted = f.is_cond_branch && self.pred.predict_and_update(pc, false);
+                if mispredicted {
+                    self.mispredictions += 1;
+                    f.resolve = Resolve::AtExecute;
+                    self.blocked_on = Some(seq);
+                }
+                mispredicted
+            }
+            ControlFlow::Taken(_) => {
+                match info.instr {
+                    Instr::Branch { .. } => {
+                        if self.pred.predict_and_update(pc, true) {
+                            // Correctly-predicted taken branch: redirect costs
+                            // the rest of this fetch cycle only (BTB assumed).
+                            self.resume_at = cycle + 1;
+                        } else {
+                            self.mispredictions += 1;
+                            f.resolve = Resolve::AtExecute;
+                            self.blocked_on = Some(seq);
+                        }
+                    }
+                    Instr::BranchOnMiss { .. } | Instr::BranchOnMemMiss { .. } => {
+                        // Taken bmiss: statically predicted not-taken, so this
+                        // is always a mispredict-style redirect (the paper's
+                        // "normal branch mispredict penalty only applies to
+                        // the cache miss case").
+                        self.informing_traps += 1;
+                        imo_obs::record(obs, cycle, EventKind::TrapEnter { seq, pc });
+                        f.resolve = Resolve::AtExecute;
+                        self.blocked_on = Some(seq);
+                        self.blocked_trap = true;
+                    }
+                    // Direct jumps, returns and handler returns are predicted
+                    // (BTB / return-address stack): one-cycle fetch redirect.
+                    _ => self.resume_at = cycle + 1,
+                }
+                true
+            }
+            ControlFlow::InformingTrap { .. } => {
+                self.informing_traps += 1;
+                f.informing_trap = true;
+                imo_obs::record(obs, cycle, EventKind::TrapEnter { seq, pc });
+                if let Some(stream) = self.handler_faults.as_mut() {
+                    match stream.draw() {
+                        Some(fault) => {
+                            self.handler_fault_count += 1;
+                            self.consecutive_faults += 1;
+                            self.pending_penalty = Some((seq, fault.penalty_cycles()));
+                            imo_obs::record(
+                                obs,
+                                cycle,
+                                EventKind::HandlerFault { seq, penalty: fault.penalty_cycles() },
+                            );
+                            if self.degrade_after != 0
+                                && self.consecutive_faults >= self.degrade_after
+                                && !self.degraded
+                            {
+                                // Enough consecutive faulty dispatches: give
+                                // up on informing traps for the rest of the
+                                // run. This trap still pays its penalty;
+                                // later informing ops behave like normal ones.
+                                self.degraded = true;
+                                self.exec.state_mut().set_informing_suppressed(true);
+                            }
+                        }
+                        None => self.consecutive_faults = 0,
+                    }
+                }
+                let is_store = matches!(info.instr, Instr::Store { .. });
+                f.resolve = if self.trap_model == TrapModel::Branch && !is_store {
+                    Resolve::AtExecute
+                } else {
+                    Resolve::AtGraduate
+                };
+                self.blocked_on = Some(seq);
+                self.blocked_trap = true;
+                true
+            }
+        };
+        Ok((f, ends_group))
+    }
+
     /// Fetches up to `width` instructions at `cycle`, appending to `out`.
     ///
     /// Pass an event recorder through `obs` to stream fetch, cache-outcome,
@@ -483,216 +677,37 @@ impl<'p> FrontEnd<'p> {
         out: &mut Vec<Fetched>,
         mut obs: Option<&mut Recorder>,
     ) -> Result<(), ExecError> {
-        if self.halted || self.blocked_on.is_some() || cycle < self.resume_at {
+        if !self.fetch_ready(cycle) {
             return Ok(());
         }
         self.resume_at = cycle; // any older redirect target is now stale
         for _ in 0..width {
             let pc = self.exec.state().pc();
-
-            // Instruction-cache line crossing (with next-line stream
-            // prefetch, so straight-line code misses once per redirect, not
-            // once per line).
-            let line = pc & !(self.line_bytes - 1);
-            if self.cur_line != Some(line) {
-                let lvl = hier.probe_inst(pc);
-                hier.prefetch_inst(line + self.line_bytes);
-                self.cur_line = Some(line);
-                if lvl != HitLevel::L1 {
-                    imo_obs::record(&mut obs, cycle, EventKind::InstMiss { pc });
-                    let ready = hier.schedule_inst(lvl, cycle);
-                    if ready > cycle {
-                        self.resume_at = ready;
-                        break;
-                    }
-                }
+            if self.cross_line(pc, cycle, hier, &mut obs) {
+                break;
             }
-
-            let mut oracle = HierOracle { hier, last: None, last_addr: 0, last_prefetch: false };
-            let info = self.exec.step(&mut oracle)?;
-            let probe = oracle.last;
-            let (probe_addr, probe_prefetch) = (oracle.last_addr, oracle.last_prefetch);
-
-            // Pointer-chase provenance: a data reference whose base register
-            // was last written by a load is chasing a pointer. Loads taint
-            // their destination; any other writer cleans it.
-            let ptr_base = match info.instr {
-                Instr::Load { base, .. }
-                | Instr::Store { base, .. }
-                | Instr::Prefetch { base, .. } => self.reg_from_load & reg_bit(base) != 0,
-                _ => false,
-            };
-            if let Some(rd) = info.instr.dest() {
-                if !rd.is_zero() {
-                    if matches!(info.instr, Instr::Load { .. }) {
-                        self.reg_from_load |= reg_bit(rd);
-                    } else {
-                        self.reg_from_load &= !reg_bit(rd);
-                    }
-                }
-            }
-
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let mut f = Fetched {
-                seq,
-                pc,
-                instr: info.instr,
-                fetch_cycle: cycle,
-                probe,
-                informing_trap: false,
-                resolve: Resolve::None,
-                cc_dep: None,
-                is_cond_branch: matches!(info.instr, Instr::Branch { .. }),
-            };
-            if matches!(info.instr, Instr::BranchOnMiss { .. } | Instr::BranchOnMemMiss { .. }) {
-                f.cc_dep = self.last_mem_seq;
-            }
-            if info.instr.is_data_ref() {
-                self.last_mem_seq = Some(seq);
-            }
-            imo_obs::record(&mut obs, cycle, EventKind::Fetch { seq, pc });
-            if let Some(p) = probe {
-                imo_obs::record(
-                    &mut obs,
-                    cycle,
-                    EventKind::DataAccess {
-                        served: p.served_by(),
-                        pc,
-                        addr: probe_addr,
-                        line: p.line,
-                        store: p.is_store,
-                        prefetch: probe_prefetch,
-                        ptr_base,
-                    },
-                );
-            }
-
-            match info.control {
-                ControlFlow::Halt => {
-                    self.halted = true;
-                    out.push(f);
-                    break;
-                }
-                ControlFlow::Sequential => {
-                    out.push(f);
-                }
-                ControlFlow::NotTaken => {
-                    if f.is_cond_branch {
-                        let predicted = self.pred.predict_and_update(pc, false);
-                        if predicted {
-                            // Predicted taken, actually fell through.
-                            self.mispredictions += 1;
-                            f.resolve = Resolve::AtExecute;
-                            self.blocked_on = Some(seq);
-                            out.push(f);
-                            break;
-                        }
-                        out.push(f);
-                    } else {
-                        // bmiss on a hit: statically predicted not-taken, correct.
-                        out.push(f);
-                    }
-                }
-                ControlFlow::Taken(_) => match info.instr {
-                    Instr::Branch { .. } => {
-                        let predicted = self.pred.predict_and_update(pc, true);
-                        if predicted {
-                            // Correctly-predicted taken branch: redirect costs
-                            // the rest of this fetch cycle only (BTB assumed).
-                            out.push(f);
-                            self.resume_at = cycle + 1;
-                            break;
-                        }
-                        self.mispredictions += 1;
-                        f.resolve = Resolve::AtExecute;
-                        self.blocked_on = Some(seq);
-                        out.push(f);
-                        break;
-                    }
-                    Instr::BranchOnMiss { .. } | Instr::BranchOnMemMiss { .. } => {
-                        // Taken bmiss: statically predicted not-taken, so this
-                        // is always a mispredict-style redirect (the paper's
-                        // "normal branch mispredict penalty only applies to
-                        // the cache miss case").
-                        self.informing_traps += 1;
-                        imo_obs::record(&mut obs, cycle, EventKind::TrapEnter { seq, pc });
-                        f.resolve = Resolve::AtExecute;
-                        self.blocked_on = Some(seq);
-                        self.blocked_trap = true;
-                        out.push(f);
-                        break;
-                    }
-                    // Direct jumps, returns and handler returns are predicted
-                    // (BTB / return-address stack): one-cycle fetch redirect.
-                    _ => {
-                        out.push(f);
-                        self.resume_at = cycle + 1;
-                        break;
-                    }
-                },
-                ControlFlow::InformingTrap { .. } => {
-                    self.informing_traps += 1;
-                    f.informing_trap = true;
-                    imo_obs::record(&mut obs, cycle, EventKind::TrapEnter { seq, pc });
-                    if let Some(stream) = self.handler_faults.as_mut() {
-                        match stream.draw() {
-                            Some(fault) => {
-                                self.handler_fault_count += 1;
-                                self.consecutive_faults += 1;
-                                self.pending_penalty = Some((seq, fault.penalty_cycles()));
-                                imo_obs::record(
-                                    &mut obs,
-                                    cycle,
-                                    EventKind::HandlerFault {
-                                        seq,
-                                        penalty: fault.penalty_cycles(),
-                                    },
-                                );
-                                if self.degrade_after != 0
-                                    && self.consecutive_faults >= self.degrade_after
-                                    && !self.degraded
-                                {
-                                    // Enough consecutive faulty dispatches:
-                                    // give up on informing traps for the rest
-                                    // of the run. This trap still pays its
-                                    // penalty; later informing ops behave
-                                    // like normal ones.
-                                    self.degraded = true;
-                                    self.exec.state_mut().set_informing_suppressed(true);
-                                }
-                            }
-                            None => self.consecutive_faults = 0,
-                        }
-                    }
-                    let is_store = matches!(info.instr, Instr::Store { .. });
-                    f.resolve = if self.trap_model == TrapModel::Branch && !is_store {
-                        Resolve::AtExecute
-                    } else {
-                        Resolve::AtGraduate
-                    };
-                    self.blocked_on = Some(seq);
-                    self.blocked_trap = true;
-                    out.push(f);
-                    break;
-                }
+            let (f, ends_group) = self.fetch_one(cycle, pc, hier, &mut obs)?;
+            out.push(f);
+            if ends_group {
+                break;
             }
         }
         Ok(())
     }
 
-    /// The unobserved fast twin of [`FrontEnd::fetch`]: consumes the
-    /// pre-decoded block table to stream runs of *plain* instructions (no
-    /// memory access, no control transfer) through
-    /// [`Executor::step_block`] in one batch, falling back to the exact
-    /// per-instruction path at every batch-breaking instruction.
+    /// The batched twin of [`FrontEnd::fetch`]: consumes the pre-decoded
+    /// block table to stream runs of *plain* instructions (no memory
+    /// access, no control transfer) through [`Executor::step_plain_run`] in
+    /// one batch, and takes the shared per-instruction arm at every
+    /// batch-breaking instruction.
     ///
-    /// Bit-identical to `fetch(cycle, width, hier, out, None)` by
+    /// Bit-identical to `fetch(cycle, width, hier, out, obs)` by
     /// construction: the batch path only covers instructions for which the
     /// generic path performs no probe, no predictor access, no trap or
-    /// fault-plan interaction, and no fetch break — everything else takes
-    /// the same per-instruction arms as `fetch` (minus event recording,
-    /// which is the caller's signal to use `fetch` instead).
+    /// fault-plan interaction, and no fetch break. It records every event
+    /// `fetch` does except the plain instructions' `Fetch` events, which
+    /// are [`Category::Pipeline`] — so a recorder whose mask includes
+    /// `Pipeline` must use `fetch` instead.
     ///
     /// # Errors
     ///
@@ -704,17 +719,19 @@ impl<'p> FrontEnd<'p> {
         width: u32,
         hier: &mut MemoryHierarchy,
         out: &mut S,
+        mut obs: Option<&mut Recorder>,
     ) -> Result<(), ExecError> {
+        debug_assert!(obs.as_deref().is_none_or(|r| !r.mask().contains(Category::Pipeline)));
         let Some(cache) = self.blocks else {
             // No block cache attached: take the generic path (cold).
             let mut buf = Vec::with_capacity(width as usize);
-            self.fetch(cycle, width, hier, &mut buf, None)?;
+            self.fetch(cycle, width, hier, &mut buf, obs)?;
             for f in buf {
                 out.push_full(f);
             }
             return Ok(());
         };
-        if self.halted || self.blocked_on.is_some() || cycle < self.resume_at {
+        if !self.fetch_ready(cycle) {
             return Ok(());
         }
         self.resume_at = cycle; // any older redirect target is now stale
@@ -724,22 +741,9 @@ impl<'p> FrontEnd<'p> {
         let mut fetched = 0u32;
         while fetched < width {
             let pc = self.exec.state().pc();
-
-            // Instruction-cache line crossing — identical to `fetch`.
-            let line = pc & !(self.line_bytes - 1);
-            if self.cur_line != Some(line) {
-                let lvl = hier.probe_inst(pc);
-                hier.prefetch_inst(line + self.line_bytes);
-                self.cur_line = Some(line);
-                if lvl != HitLevel::L1 {
-                    let ready = hier.schedule_inst(lvl, cycle);
-                    if ready > cycle {
-                        self.resume_at = ready;
-                        break;
-                    }
-                }
+            if self.cross_line(pc, cycle, hier, &mut obs) {
+                break;
             }
-
             let Some(idx) = cache.index_of(pc) else {
                 return Err(ExecError::InvalidPc(pc));
             };
@@ -751,7 +755,7 @@ impl<'p> FrontEnd<'p> {
                 // I-cache line (the generic path re-probes at each line
                 // crossing), and the end of the plain run (pre-sized at
                 // block-cache build — no per-instruction meta scan).
-                let line_limit = ((line + self.line_bytes - pc) / 4) as u32;
+                let line_limit = ((self.line_bytes - (pc & (self.line_bytes - 1))) / 4) as u32;
                 let k = (width - fetched).min(line_limit).min(run_len);
                 // Plain instructions never consult the oracle, never touch
                 // control, and never miss — the batch runs to completion.
@@ -772,126 +776,11 @@ impl<'p> FrontEnd<'p> {
                 continue;
             }
 
-            // Batch-breaking instruction: take the generic path's arms,
-            // minus event recording.
-            let mut oracle = HierOracle { hier, last: None, last_addr: 0, last_prefetch: false };
-            let info = self.exec.step(&mut oracle)?;
-            let probe = oracle.last;
-
-            if let Some(rd) = info.instr.dest() {
-                if !rd.is_zero() {
-                    if matches!(info.instr, Instr::Load { .. }) {
-                        self.reg_from_load |= reg_bit(rd);
-                    } else {
-                        self.reg_from_load &= !reg_bit(rd);
-                    }
-                }
-            }
-
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let mut f = Fetched {
-                seq,
-                pc,
-                instr: info.instr,
-                fetch_cycle: cycle,
-                probe,
-                informing_trap: false,
-                resolve: Resolve::None,
-                cc_dep: None,
-                is_cond_branch: matches!(info.instr, Instr::Branch { .. }),
-            };
-            if matches!(info.instr, Instr::BranchOnMiss { .. } | Instr::BranchOnMemMiss { .. }) {
-                f.cc_dep = self.last_mem_seq;
-            }
-            if info.instr.is_data_ref() {
-                self.last_mem_seq = Some(seq);
-            }
+            let (f, ends_group) = self.fetch_one(cycle, pc, hier, &mut obs)?;
+            out.push_full(f);
             fetched += 1;
-
-            match info.control {
-                ControlFlow::Halt => {
-                    self.halted = true;
-                    out.push_full(f);
-                    break;
-                }
-                ControlFlow::Sequential => {
-                    out.push_full(f);
-                }
-                ControlFlow::NotTaken => {
-                    if f.is_cond_branch {
-                        let predicted = self.pred.predict_and_update(pc, false);
-                        if predicted {
-                            self.mispredictions += 1;
-                            f.resolve = Resolve::AtExecute;
-                            self.blocked_on = Some(seq);
-                            out.push_full(f);
-                            break;
-                        }
-                        out.push_full(f);
-                    } else {
-                        out.push_full(f);
-                    }
-                }
-                ControlFlow::Taken(_) => match info.instr {
-                    Instr::Branch { .. } => {
-                        let predicted = self.pred.predict_and_update(pc, true);
-                        if predicted {
-                            out.push_full(f);
-                            self.resume_at = cycle + 1;
-                            break;
-                        }
-                        self.mispredictions += 1;
-                        f.resolve = Resolve::AtExecute;
-                        self.blocked_on = Some(seq);
-                        out.push_full(f);
-                        break;
-                    }
-                    Instr::BranchOnMiss { .. } | Instr::BranchOnMemMiss { .. } => {
-                        self.informing_traps += 1;
-                        f.resolve = Resolve::AtExecute;
-                        self.blocked_on = Some(seq);
-                        self.blocked_trap = true;
-                        out.push_full(f);
-                        break;
-                    }
-                    _ => {
-                        out.push_full(f);
-                        self.resume_at = cycle + 1;
-                        break;
-                    }
-                },
-                ControlFlow::InformingTrap { .. } => {
-                    self.informing_traps += 1;
-                    f.informing_trap = true;
-                    if let Some(stream) = self.handler_faults.as_mut() {
-                        match stream.draw() {
-                            Some(fault) => {
-                                self.handler_fault_count += 1;
-                                self.consecutive_faults += 1;
-                                self.pending_penalty = Some((seq, fault.penalty_cycles()));
-                                if self.degrade_after != 0
-                                    && self.consecutive_faults >= self.degrade_after
-                                    && !self.degraded
-                                {
-                                    self.degraded = true;
-                                    self.exec.state_mut().set_informing_suppressed(true);
-                                }
-                            }
-                            None => self.consecutive_faults = 0,
-                        }
-                    }
-                    let is_store = matches!(info.instr, Instr::Store { .. });
-                    f.resolve = if self.trap_model == TrapModel::Branch && !is_store {
-                        Resolve::AtExecute
-                    } else {
-                        Resolve::AtGraduate
-                    };
-                    self.blocked_on = Some(seq);
-                    self.blocked_trap = true;
-                    out.push_full(f);
-                    break;
-                }
+            if ends_group {
+                break;
             }
         }
         self.stats.instrs += u64::from(fetched);

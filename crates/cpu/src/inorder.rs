@@ -19,6 +19,7 @@
 //! issue.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use imo_isa::{BlockCache, FuClass, Instr, InstrMeta, Program, NO_REG};
 use imo_mem::{HitLevel, MemoryHierarchy};
@@ -63,6 +64,50 @@ fn stall_category(on_trap: bool, on_miss: bool, miss_to_mem: bool) -> CpiCategor
         }
     } else {
         CpiCategory::IssueStall
+    }
+}
+
+/// Charges the idle cycles `idle` of a parked head to the slot breakdown
+/// exactly as per-cycle issue would classify them: a cycle is a miss stall
+/// while some source's missed load is still in flight, i.e. before
+/// `miss_until`, the latest such arrival (0 when there is none). A source
+/// can arrive before the head may issue — the replay-trap floor outlasts
+/// an L2 hit — so one skipped window can hold both kinds of cycle.
+#[inline]
+fn charge_idle_slots(slots: &mut SlotBreakdown, idle: Range<u64>, miss_until: u64, width: u64) {
+    let miss_end = miss_until.clamp(idle.start, idle.end);
+    slots.cache_stall += (miss_end - idle.start) * width;
+    slots.other_stall += (idle.end - miss_end) * width;
+}
+
+/// Charges the same window to the CPI stack for a head parked on sources
+/// `srcs`, split at every arrival: a miss cycle counts at the depth of the
+/// last source in operand order still in flight, unless fetch is blocked
+/// on a trap (`on_trap`). Out of line: only observed runs take it.
+#[inline(never)]
+fn charge_idle_cpi(
+    cpi: &mut CpiStack,
+    idle: Range<u64>,
+    regs: &[RegState; 64],
+    srcs: [u8; 2],
+    on_trap: bool,
+) {
+    let mut start = idle.start;
+    while start < idle.end {
+        let (mut on_miss, mut miss_to_mem, mut end) = (false, false, idle.end);
+        for s in srcs {
+            if s == NO_REG {
+                continue;
+            }
+            let r = &regs[s as usize];
+            if r.miss_pending && r.ready > start {
+                on_miss = true;
+                miss_to_mem = r.miss_to_mem;
+                end = end.min(r.ready);
+            }
+        }
+        cpi.add(stall_category(on_trap, on_miss, miss_to_mem), end - start);
+        start = end;
     }
 }
 
@@ -284,8 +329,25 @@ fn decode_regs(body: &Json) -> Result<[RegState; 64], SnapshotError> {
     Ok(regs)
 }
 
-#[allow(clippy::too_many_lines)]
 pub(crate) fn run(
+    program: &Program,
+    cfg: &InOrderConfig,
+    limits: RunLimits,
+    faults: Option<&imo_faults::FaultPlan>,
+    obs: Option<&mut Recorder>,
+    resume: Option<&Json>,
+) -> Result<RunOutcome, SimError> {
+    // Monomorphized on "observed or not", like `FetchSink`: the unobserved
+    // instantiation compiles every recording hook out of the fast loop.
+    match obs {
+        Some(rec) => run_loop::<true>(program, cfg, limits, faults, Some(rec), resume),
+        None => run_loop::<false>(program, cfg, limits, faults, None, resume),
+    }
+}
+
+/// The core loop behind [`run`]; `OBSERVED == obs.is_some()`.
+#[allow(clippy::too_many_lines)]
+fn run_loop<const OBSERVED: bool>(
     program: &Program,
     cfg: &InOrderConfig,
     limits: RunLimits,
@@ -361,13 +423,15 @@ pub(crate) fn run(
     let width = cfg.issue_width as u64;
     let mut done = false;
 
-    // Fast path: unobserved, event-driven runs take a specialized loop body
-    // driven by the pre-decoded block cache — batched straight-line fetch,
-    // table-driven issue, and a pending-miss bitmask in place of the
-    // per-cycle register scan. Observed and tick-accurate runs keep the
-    // generic body below untouched as the bit-identity reference
+    // Fast path: event-driven runs without a pipeline-event recorder take a
+    // specialized loop body driven by the pre-decoded block cache — batched
+    // straight-line fetch, table-driven issue, and a pending-miss bitmask in
+    // place of the per-cycle register scan. Observed runs feed the recorder
+    // the same events, metrics and CPI cycles the generic body does (see
+    // `RunLimits::allows_fast_path`). Tick-accurate and pipeline-observed
+    // runs keep the generic body below as the bit-identity reference
     // (`tests/fastforward_identity.rs` compares the two).
-    let fast = obs.is_none() && !limits.force_tick_accurate;
+    let fast = limits.allows_fast_path(obs.as_deref());
     let cache = fast.then(|| BlockCache::build(program, |i| cfg.latency(i)));
     if let Some(cache) = &cache {
         fe.attach_blocks(cache);
@@ -444,13 +508,14 @@ pub(crate) fn run(
                 let mut fp_used = 0u32;
                 let mut br_used = 0u32;
                 let mut issued: u64 = 0;
-                // blocked_miss_to_mem is not tracked here: it only feeds the CPI
-                // stack, and the fast path never runs observed.
-                let mut blocked_on_miss = false;
+                // Why issue stopped: the latest arrival among the parked
+                // head's missed-load sources (a miss stall while `> now`),
+                // and the depth of the last one in operand order.
+                let mut miss_until: u64 = 0;
+                let mut blocked_miss_to_mem = false;
                 let mut next_wakeup: u64 = u64::MAX;
                 // Sources of the head entry whose failed readiness poll parked
-                // the issue loop; used to re-derive the stall classification as
-                // of `now + 1` when folding from a progress iteration.
+                // the issue loop; observed folds split the CPI stack by them.
                 let mut stall_srcs: [u8; 2] = [NO_REG, NO_REG];
 
                 while issued < width {
@@ -499,7 +564,8 @@ pub(crate) fn run(
                                 let rs = &regs[s as usize];
                                 ready_at = ready_at.max(rs.ready).max(rs.replay_floor);
                                 if rs.ready > now && rs.miss_pending {
-                                    blocked_on_miss = true;
+                                    miss_until = miss_until.max(rs.ready);
+                                    blocked_miss_to_mem = rs.miss_to_mem;
                                 }
                             }
                             if ready_at > now {
@@ -508,7 +574,8 @@ pub(crate) fn run(
                                 pending_issue = (r.seq, ready_at);
                                 break;
                             }
-                            blocked_on_miss = false; // it issued after all
+                            miss_until = 0; // it issued after all
+                            blocked_miss_to_mem = false;
                         }
                         match m.fu {
                             0 | 3 => int_used += 1,
@@ -570,7 +637,8 @@ pub(crate) fn run(
                             let r = &regs[s as usize];
                             ready_at = ready_at.max(r.ready).max(r.replay_floor);
                             if r.ready > now && r.miss_pending {
-                                blocked_on_miss = true;
+                                miss_until = miss_until.max(r.ready);
+                                blocked_miss_to_mem = r.miss_to_mem;
                             }
                         }
                         if m.flags & InstrMeta::BMISS != 0 {
@@ -582,13 +650,21 @@ pub(crate) fn run(
                             pending_issue = (f.seq, ready_at);
                             break;
                         }
-                        blocked_on_miss = false; // it issued after all
+                        miss_until = 0; // it issued after all
+                        blocked_miss_to_mem = false;
                     }
 
-                    // Copy out the three fields the issue arms need, then drop
-                    // the entry in place — popping the full ~96-byte `Fetched`
-                    // by value would memcpy it for nothing.
+                    if OBSERVED {
+                        imo_obs::record(&mut obs, now, EventKind::Issue { seq: f.seq });
+                        if matches!(f.instr, Instr::JumpMhrr) {
+                            imo_obs::record(&mut obs, now, EventKind::TrapReturn { seq: f.seq });
+                        }
+                    }
+                    // Copy out the fields the issue arms need, then drop the
+                    // entry in place — popping the full ~96-byte `Fetched` by
+                    // value would memcpy it for nothing.
                     let (seq, probe, resolve) = (f.seq, f.probe, f.resolve);
+                    let (informing_trap, fetch_cycle) = (f.informing_trap, f.fetch_cycle);
                     let _ = fq.full.pop_front();
                     fq.total -= 1;
                     match m.fu {
@@ -604,6 +680,10 @@ pub(crate) fn run(
                             let t = hier.schedule_data(probe, now);
                             outcome_cycle = t.start + cfg.hier.l1_latency;
                             last_mem_outcome = outcome_cycle;
+                            if let Some(rec) = obs.as_deref_mut().filter(|_| OBSERVED) {
+                                rec.metrics
+                                    .observe("cpu.load_to_use", t.complete.saturating_sub(now));
+                            }
                             if m.dest != NO_REG {
                                 let miss = probe.level.is_l1_miss();
                                 regs[m.dest as usize] = RegState {
@@ -658,6 +738,14 @@ pub(crate) fn run(
                             } else {
                                 now
                             };
+                            if informing_trap {
+                                if let Some(rec) = obs.as_deref_mut().filter(|_| OBSERVED) {
+                                    rec.metrics.observe(
+                                        "cpu.trap_redirect",
+                                        due.max(now).saturating_sub(fetch_cycle),
+                                    );
+                                }
+                            }
                             if due <= now {
                                 fe.resolve(seq, now, cfg.redirect_penalty);
                             } else {
@@ -688,11 +776,27 @@ pub(crate) fn run(
                 slots.busy += issued;
                 if issued < width && !done {
                     let lost = width - issued;
-                    if blocked_on_miss {
+                    if miss_until > now {
                         slots.cache_stall += lost;
                     } else {
                         slots.other_stall += lost;
                     }
+                }
+                // One CPI-stack cycle per iteration, as in the generic body;
+                // the folds below attribute the cycles they skip.
+                if OBSERVED {
+                    cpi.add(
+                        if issued > 0 {
+                            CpiCategory::Base
+                        } else {
+                            stall_category(
+                                fe.blocked_on_trap(),
+                                miss_until > now,
+                                blocked_miss_to_mem,
+                            )
+                        },
+                        1,
+                    );
                 }
                 if done {
                     break;
@@ -701,7 +805,7 @@ pub(crate) fn run(
                 // ---- Fetch (block-batched) ----
                 if fq.total < 2 * cfg.issue_width as usize && fe.fetch_ready(now) {
                     let before = fq.total;
-                    fe.fetch_fast(now, cfg.issue_width, &mut hier, &mut fq)?;
+                    fe.fetch_fast(now, cfg.issue_width, &mut hier, &mut fq, obs.as_deref_mut())?;
                     if fq.total > before {
                         progress = true;
                     }
@@ -737,9 +841,9 @@ pub(crate) fn run(
                         // its wake-up candidates are the same (the head's
                         // `ready_at` and the queues are unchanged by idle
                         // cycles; the front end gets a floor of `now + 1`, the
-                        // earliest it could act again), and its stall
-                        // classification re-tests the parked head's sources
-                        // against `now + 1`.
+                        // earliest it could act again), and the stall
+                        // classification of each skipped cycle from `now + 1`
+                        // on re-tests the parked head's sources.
                         let mut h = Horizon::new(now);
                         h.consider(next_wakeup);
                         h.consider_opt(resolve_q.next_due());
@@ -747,22 +851,17 @@ pub(crate) fn run(
                             h.consider(fe.resume_at().max(now + 1));
                         }
                         let next = h.earliest().expect("next_wakeup is a candidate");
-                        let skipped = next - now - 1;
-                        if skipped > 0 {
-                            let mut blocked_next = false;
-                            for s in stall_srcs {
-                                if s != NO_REG {
-                                    let r = &regs[s as usize];
-                                    if r.ready > now + 1 && r.miss_pending {
-                                        blocked_next = true;
-                                    }
-                                }
-                            }
-                            let lost = skipped * width;
-                            if blocked_next {
-                                slots.cache_stall += lost;
-                            } else {
-                                slots.other_stall += lost;
+                        if next > now + 1 {
+                            charge_idle_slots(&mut slots, now + 1..next, miss_until, width);
+                            if OBSERVED {
+                                let on_trap = fe.blocked_on_trap();
+                                charge_idle_cpi(
+                                    &mut cpi,
+                                    now + 1..next,
+                                    &regs,
+                                    stall_srcs,
+                                    on_trap,
+                                );
                             }
                         }
                         now = next;
@@ -781,13 +880,11 @@ pub(crate) fn run(
                     let Some(next) = h.earliest() else {
                         return Err(SimError::Deadlock { cycle: now });
                     };
-                    let skipped = next - now - 1;
-                    if skipped > 0 {
-                        let lost = skipped * width;
-                        if blocked_on_miss {
-                            slots.cache_stall += lost;
-                        } else {
-                            slots.other_stall += lost;
+                    if next > now + 1 {
+                        charge_idle_slots(&mut slots, now + 1..next, miss_until, width);
+                        if OBSERVED {
+                            let on_trap = fe.blocked_on_trap();
+                            charge_idle_cpi(&mut cpi, now + 1..next, &regs, stall_srcs, on_trap);
                         }
                     }
                     now = next;
@@ -830,10 +927,15 @@ pub(crate) fn run(
         let mut fp_used = 0u32;
         let mut br_used = 0u32;
         let mut issued: u64 = 0;
-        // Why issue stopped, for slot attribution.
-        let mut blocked_on_miss = false;
+        // Why issue stopped, for slot attribution: the latest arrival among
+        // the stalled head's missed-load sources (a miss stall while
+        // `> now`), and the depth of the last one in operand order.
+        let mut miss_until: u64 = 0;
         let mut blocked_miss_to_mem = false;
         let mut next_wakeup: u64 = u64::MAX;
+        // Sources of the head whose readiness poll failed; an observed
+        // fold splits the CPI stack by them.
+        let mut stall_srcs: [u8; 2] = [NO_REG, NO_REG];
 
         while issued < width {
             let Some(f) = queue.front() else { break };
@@ -857,7 +959,7 @@ pub(crate) fn run(
                 let r = &regs[src.logical()];
                 ready_at = ready_at.max(r.ready).max(r.replay_floor);
                 if r.ready > now && r.miss_pending {
-                    blocked_on_miss = true;
+                    miss_until = miss_until.max(r.ready);
                     blocked_miss_to_mem = r.miss_to_mem;
                 }
             }
@@ -866,9 +968,11 @@ pub(crate) fn run(
             }
             if ready_at > now {
                 next_wakeup = next_wakeup.min(ready_at);
+                let mut srcs = f.instr.sources().map(|r| r.logical() as u8);
+                stall_srcs = [srcs.next().unwrap_or(NO_REG), srcs.next().unwrap_or(NO_REG)];
                 break;
             }
-            blocked_on_miss = false; // it issued after all
+            miss_until = 0; // it issued after all
             blocked_miss_to_mem = false;
 
             let f = queue.pop_front().expect("front exists");
@@ -974,7 +1078,7 @@ pub(crate) fn run(
         slots.busy += issued;
         if issued < width && !done {
             let lost = width - issued;
-            if blocked_on_miss {
+            if miss_until > now {
                 slots.cache_stall += lost;
             } else {
                 slots.other_stall += lost;
@@ -988,7 +1092,7 @@ pub(crate) fn run(
                 cpi.add(CpiCategory::Base, 1);
             } else {
                 cpi.add(
-                    stall_category(fe.blocked_on_trap(), blocked_on_miss, blocked_miss_to_mem),
+                    stall_category(fe.blocked_on_trap(), miss_until > now, blocked_miss_to_mem),
                     1,
                 );
             }
@@ -1037,21 +1141,13 @@ pub(crate) fn run(
                 now += 1;
                 continue;
             }
-            let skipped = next - now - 1;
-            if skipped > 0 {
-                let lost = skipped * width;
-                if blocked_on_miss {
-                    slots.cache_stall += lost;
-                } else {
-                    slots.other_stall += lost;
-                }
+            // The skipped cycles would each have issued nothing with this
+            // exact (frozen) machine state.
+            if next > now + 1 {
+                charge_idle_slots(&mut slots, now + 1..next, miss_until, width);
                 if obs.is_some() {
-                    // The skipped cycles would each have issued nothing with
-                    // this exact (frozen) machine state.
-                    cpi.add(
-                        stall_category(fe.blocked_on_trap(), blocked_on_miss, blocked_miss_to_mem),
-                        skipped,
-                    );
+                    let on_trap = fe.blocked_on_trap();
+                    charge_idle_cpi(&mut cpi, now + 1..next, &regs, stall_srcs, on_trap);
                 }
             }
             now = next;

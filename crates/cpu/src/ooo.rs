@@ -405,11 +405,12 @@ pub(crate) fn run(
     let width = cfg.issue_width as u64;
     let mut done = false;
 
-    // Fast mode: unobserved, untraced, event-driven runs consume pre-decoded
-    // blocks in the front end and may use the dense-streak liveness shortcut
-    // in the advance phase. Observed, traced and tick-accurate runs are the
-    // unchanged bit-identity reference.
-    let fast = obs.is_none() && trace.is_none() && !limits.force_tick_accurate;
+    // Fast mode: untraced, event-driven runs without a pipeline-event
+    // recorder consume pre-decoded blocks in the front end and may use the
+    // dense-streak liveness shortcut in the advance phase (see
+    // `RunLimits::allows_fast_path`). Traced, pipeline-observed and
+    // tick-accurate runs are the unchanged bit-identity reference.
+    let fast = trace.is_none() && limits.allows_fast_path(obs.as_deref());
     let cache = fast.then(|| BlockCache::build(program, |i| cfg.latency(i)));
     if let Some(cache) = &cache {
         fe.attach_blocks(cache);
@@ -875,7 +876,13 @@ pub(crate) fn run(
             let before = fetch_q.len();
             if fast {
                 if fe.fetch_ready(now) {
-                    fe.fetch_fast(now, cfg.issue_width, &mut hier, &mut fetch_q)?;
+                    fe.fetch_fast(
+                        now,
+                        cfg.issue_width,
+                        &mut hier,
+                        &mut fetch_q,
+                        obs.as_deref_mut(),
+                    )?;
                 }
             } else {
                 fetch_buf.clear();

@@ -4,6 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use imo_isa::exec::ExecError;
+use imo_obs::{Category, Recorder};
 use imo_util::stats::{Report, Summarize};
 
 // The slot-accounting struct lives in the shared stats layer so the bench
@@ -136,6 +137,18 @@ impl RunLimits {
     #[must_use]
     pub fn stop_at(cycle: u64) -> RunLimits {
         RunLimits { stop_at: Some(cycle), ..RunLimits::default() }
+    }
+
+    /// Whether a run under these limits may take its core's block-batched
+    /// fast path. Tick-accurate runs never do: they are the bit-identity
+    /// reference. A recorder blocks it only if its mask asks for
+    /// [`Category::Pipeline`] events, the per-instruction `Fetch`/`Issue`
+    /// stream the batches skip. Every other event (cache, MSHR, trap,
+    /// fault) and every attribution input comes from memory, control or
+    /// informing operations, which the fast path handles one at a time
+    /// exactly as the generic loop does.
+    pub(crate) fn allows_fast_path(&self, obs: Option<&Recorder>) -> bool {
+        !self.force_tick_accurate && obs.is_none_or(|r| !r.mask().contains(Category::Pipeline))
     }
 }
 

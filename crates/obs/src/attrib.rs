@@ -34,6 +34,7 @@
 
 use std::collections::BTreeMap;
 
+use imo_util::hash::WordMap;
 use imo_util::{Json, Table};
 
 use crate::event::{EventKind, ServedBy};
@@ -185,14 +186,36 @@ impl Fenwick {
     }
 }
 
+/// One line's sketch state, packed into a word so a map entry stays two
+/// words: the global access index of the last touch (valid only when
+/// seen) above two flag bits — whether the stream has ever touched the
+/// line, and whether the coherence protocol invalidated it since the last
+/// touch.
 #[derive(Debug, Clone, Copy)]
-struct LineInfo {
-    /// Global access index of the last touch (valid only when `seen`).
-    last_t: u64,
-    /// Whether the line has ever been touched by this stream.
-    seen: bool,
-    /// Whether the coherence protocol invalidated it since the last touch.
-    invalidated: bool,
+struct LineInfo(u64);
+
+impl LineInfo {
+    const SEEN: u64 = 1;
+    const INVALIDATED: u64 = 2;
+    /// A line this stream has never touched.
+    const UNSEEN: LineInfo = LineInfo(0);
+
+    /// A line just touched at access index `t`.
+    fn touched(t: u64) -> LineInfo {
+        LineInfo(t << 2 | LineInfo::SEEN)
+    }
+
+    fn last_t(self) -> u64 {
+        self.0 >> 2
+    }
+
+    fn seen(self) -> bool {
+        self.0 & LineInfo::SEEN != 0
+    }
+
+    fn invalidated(self) -> bool {
+        self.0 & LineInfo::INVALIDATED != 0
+    }
 }
 
 /// Online reuse-distance sketch: exact distinct-lines-since-last-access
@@ -207,7 +230,8 @@ struct ReuseSketch {
     /// position of some line.
     fen: Fenwick,
     slot_line: Vec<Option<u64>>,
-    lines: BTreeMap<u64, LineInfo>,
+    /// Per-line state; looked up once per touch, never iterated.
+    lines: WordMap<u64, LineInfo>,
 }
 
 impl ReuseSketch {
@@ -218,18 +242,13 @@ impl ReuseSketch {
             t: 0,
             fen: Fenwick::new(window),
             slot_line: vec![None; window],
-            lines: BTreeMap::new(),
+            lines: WordMap::default(),
         }
     }
 
     /// Marks a coherence invalidation of `line`.
     fn invalidate(&mut self, line: u64) {
-        let info = self.lines.entry(line).or_insert(LineInfo {
-            last_t: 0,
-            seen: false,
-            invalidated: false,
-        });
-        info.invalidated = true;
+        self.lines.entry(line).or_insert(LineInfo::UNSEEN).0 |= LineInfo::INVALIDATED;
     }
 
     /// Counts markers for positions strictly between `lt` and `t` on the
@@ -260,21 +279,19 @@ impl ReuseSketch {
         if self.slot_line[slot].take().is_some() {
             self.fen.add(slot, -1);
         }
-        let prev = *self.lines.entry(line).or_insert(LineInfo {
-            last_t: 0,
-            seen: false,
-            invalidated: false,
-        });
-        let reuse = if !prev.seen {
+        // One map lookup: read the previous touch and record this one.
+        let info = self.lines.entry(line).or_insert(LineInfo::UNSEEN);
+        let prev = std::mem::replace(info, LineInfo::touched(t));
+        let reuse = if !prev.seen() {
             Reuse::First
-        } else if t - prev.last_t > w {
+        } else if t - prev.last_t() > w {
             Reuse::AgedOut
         } else {
-            Reuse::Within(self.marks_between(prev.last_t, t))
+            Reuse::Within(self.marks_between(prev.last_t(), t))
         };
         // Move this line's marker to the current slot.
-        if prev.seen && t - prev.last_t < w {
-            let old = (prev.last_t % w) as usize;
+        if prev.seen() && t - prev.last_t() < w {
+            let old = (prev.last_t() % w) as usize;
             if self.slot_line[old] == Some(line) {
                 self.slot_line[old] = None;
                 self.fen.add(old, -1);
@@ -282,9 +299,8 @@ impl ReuseSketch {
         }
         self.slot_line[slot] = Some(line);
         self.fen.add(slot, 1);
-        self.lines.insert(line, LineInfo { last_t: t, seen: true, invalidated: false });
         self.t += 1;
-        (reuse, prev.invalidated)
+        (reuse, prev.invalidated())
     }
 }
 
@@ -410,7 +426,9 @@ impl PcStats {
 pub struct Attribution {
     cfg: AttribConfig,
     cpu: Stream,
-    pcs: BTreeMap<u64, PcStats>,
+    /// Per-PC stats, looked up on every demand access; `profile` sorts
+    /// them, so the map's order never shows.
+    pcs: WordMap<u64, PcStats>,
     coh: BTreeMap<u32, Stream>,
     prefetch_probes: u64,
 }
@@ -420,7 +438,7 @@ impl Attribution {
     #[must_use]
     pub fn new(cfg: AttribConfig) -> Attribution {
         let cpu = Stream::new(&cfg);
-        Attribution { cfg, cpu, pcs: BTreeMap::new(), coh: BTreeMap::new(), prefetch_probes: 0 }
+        Attribution { cfg, cpu, pcs: WordMap::default(), coh: BTreeMap::new(), prefetch_probes: 0 }
     }
 
     /// The analyzer's geometry.

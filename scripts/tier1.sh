@@ -3,18 +3,18 @@
 # tests — fully offline. The workspace has zero external dependencies, so
 # every step below must succeed without registry access.
 #
-# `cargo test` already runs every tests/*.rs target (fault_injection,
-# parallel_sweep, …); nothing is re-run individually. The example smoke
-# list is derived from examples/*.rs so new examples are covered
-# automatically.
+# `cargo test --workspace` runs every tests/*.rs target (fault_injection,
+# parallel_sweep, …) plus every crate's unit, integration and doc tests;
+# nothing is re-run individually. The example smoke list is derived from
+# examples/*.rs so new examples are covered automatically.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== cargo build --release =="
 cargo build --release --offline
 
-echo "== cargo test -q =="
-cargo test -q --offline
+echo "== cargo test -q --workspace =="
+cargo test -q --offline --workspace
 
 echo "== cargo fmt --check =="
 cargo fmt --check

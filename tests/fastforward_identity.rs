@@ -16,7 +16,7 @@ use informing_memops::core::Machine;
 use informing_memops::cpu::{
     inorder, ooo, InOrderConfig, OooConfig, Outcome, RunLimits, SimSession,
 };
-use informing_memops::obs::Recorder;
+use informing_memops::obs::{Category, CategoryMask, Recorder};
 use informing_memops::workloads::{all, by_name, Scale};
 
 fn schemes() -> [(&'static str, Scheme); 3] {
@@ -104,11 +104,14 @@ fn seeded_faulty_runs_are_tick_identical() {
 
 /// Block-batch property sweep: 32 seeded random configurations, each run in
 /// one of the four modes that interact with the block-batched fast paths —
-/// recorder on and attribution on (which must *disengage* the batch path,
-/// exactly), a seeded fault plan (which rides through it), and a `stop_at`
+/// a full recorder (whose `Pipeline` events keep the generic loop engaged),
+/// an `observed` recorder without `Pipeline` events, with or without miss
+/// attribution and optionally paused and resumed (which rides the batch
+/// path), a seeded fault plan (which rides through it), and a `stop_at`
 /// landing mid-run (which forces the split plain-run queue to rematerialize
 /// into a checkpoint and resume). Every mode must end bit-identical to the
-/// tick-accurate reference.
+/// tick-accurate reference; the `observed` mode compares the whole recorder
+/// output with the same recorder run tick-accurately.
 #[test]
 fn block_batch_modes_are_tick_identical() {
     let names: Vec<&'static str> = all().iter().map(|s| s.name).collect();
@@ -128,7 +131,7 @@ fn block_batch_modes_are_tick_identical() {
         let tick = machine
             .run_limited(&inst.program, RunLimits::tick_accurate())
             .map_err(|e| format!("{ctx} (tick): {e}"))?;
-        match *g.pick(&["recorder", "attrib", "faulty", "stop_at"]) {
+        match *g.pick(&["recorder", "observed", "faulty", "stop_at"]) {
             "recorder" => {
                 let mut rec = Recorder::all();
                 let (res, _) = machine
@@ -137,13 +140,70 @@ fn block_batch_modes_are_tick_identical() {
                 ensure_eq!(res, tick, "{ctx}: recorder on");
                 ensure_eq!(rec.cpi.total(), res.cycles, "{ctx}: CPI covers every cycle");
             }
-            "attrib" => {
-                let mut rec = Recorder::disabled();
-                rec.enable_attribution(machine.attrib_config());
-                let (res, _) = machine
-                    .run_observed(&inst.program, &mut rec)
-                    .map_err(|e| format!("{ctx} (attrib): {e}"))?;
-                ensure_eq!(res, tick, "{ctx}: attribution on");
+            "observed" => {
+                let mask = *g.pick(&[
+                    CategoryMask::NONE,
+                    CategoryMask::of(&[
+                        Category::Cache,
+                        Category::Trap,
+                        Category::Mshr,
+                        Category::Fault,
+                    ]),
+                ]);
+                let attrib = g.bool();
+                let stop = g.bool().then(|| g.int(1..tick.cycles.max(2)));
+                let ctx = format!("{ctx} observed (mask {mask}, attrib {attrib}, stop {stop:?})");
+                let recorder = || {
+                    let mut rec = Recorder::new(mask);
+                    if attrib {
+                        rec.enable_attribution(machine.attrib_config());
+                    }
+                    rec
+                };
+                let mut fast = recorder();
+                let outcome = SimSession::new(&inst.program, machine.core_config())
+                    .recorder(&mut fast)
+                    .limits(RunLimits { stop_at: stop, ..RunLimits::default() })
+                    .run()
+                    .map_err(|e| format!("{ctx}: {e}"))?;
+                let res = match outcome {
+                    Outcome::Paused(ckpt) => run_to_completion(
+                        SimSession::new(&inst.program, machine.core_config())
+                            .recorder(&mut fast)
+                            .resume(&ckpt)
+                            .map_err(|e| format!("{ctx} resume: {e}"))?,
+                    )?,
+                    Outcome::Complete { result, .. } => result,
+                };
+                let mut reference = recorder();
+                let ref_res = run_to_completion(
+                    SimSession::new(&inst.program, machine.core_config())
+                        .recorder(&mut reference)
+                        .limits(RunLimits::tick_accurate())
+                        .run()
+                        .map_err(|e| format!("{ctx} (tick): {e}"))?,
+                )?;
+                ensure_eq!(res, tick, "{ctx}: result");
+                ensure_eq!(ref_res, tick, "{ctx}: tick-accurate observed result");
+                ensure_eq!(fast.cpi, reference.cpi, "{ctx}: CPI stack");
+                ensure_eq!(fast.metrics, reference.metrics, "{ctx}: metrics");
+                let (events, ref_events) = (fast.events(), reference.events());
+                if let Some(i) = (0..events.len().max(ref_events.len()))
+                    .find(|&i| events.get(i) != ref_events.get(i))
+                {
+                    return Err(format!(
+                        "{ctx}: event {i} differs: {:?} vs {:?}",
+                        events.get(i),
+                        ref_events.get(i)
+                    ));
+                }
+                ensure_eq!(
+                    (fast.total_recorded(), fast.dropped()),
+                    (reference.total_recorded(), reference.dropped()),
+                    "{ctx}: recorded/dropped"
+                );
+                let profile = |r: &Recorder| r.attribution().map(|a| a.profile(name).to_json());
+                ensure_eq!(profile(&fast), profile(&reference), "{ctx}: attribution profile");
             }
             "faulty" => {
                 let mut fc = FaultConfig::none(g.int(1..u64::MAX));
