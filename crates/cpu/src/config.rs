@@ -1,7 +1,9 @@
 //! Processor model configuration (Table 1 of the paper).
 
 use imo_isa::Instr;
-use imo_mem::{HierarchyConfig, MshrMode};
+use imo_mem::{CacheConfig, HierarchyConfig, MshrMode};
+
+use crate::result::SimError;
 
 /// How the out-of-order machine realises the low-overhead cache-miss trap
 /// (§3.2 of the paper).
@@ -87,6 +89,11 @@ impl OooConfig {
     pub fn latency(&self, instr: &Instr) -> u64 {
         latency(instr, Model::OutOfOrder)
     }
+
+    /// Rejects parameters a component constructor would panic on.
+    pub(crate) fn validate(&self) -> Result<(), SimError> {
+        validate(self.predictor_entries, &self.hier)
+    }
 }
 
 impl Default for OooConfig {
@@ -145,12 +152,42 @@ impl InOrderConfig {
     pub fn latency(&self, instr: &Instr) -> u64 {
         latency(instr, Model::InOrder)
     }
+
+    /// Rejects parameters a component constructor would panic on.
+    pub(crate) fn validate(&self) -> Result<(), SimError> {
+        validate(self.predictor_entries, &self.hier)
+    }
 }
 
 impl Default for InOrderConfig {
     fn default() -> InOrderConfig {
         InOrderConfig::paper()
     }
+}
+
+/// The checks both cores share: every assertion in the predictor, MSHR
+/// file, cache and hierarchy constructors (and the hierarchy's bank and
+/// MSHR-slot selection) that a configuration can reach. Units, widths and
+/// buffers of zero are not errors here: such a machine makes no progress
+/// and ends in [`SimError::Deadlock`].
+fn validate(predictor_entries: usize, hier: &HierarchyConfig) -> Result<(), SimError> {
+    let geometry_ok = |c: &CacheConfig| {
+        let set_bytes = u64::from(c.assoc).checked_mul(c.line_bytes).filter(|&b| b > 0);
+        c.line_bytes.is_power_of_two()
+            && set_bytes.is_some_and(|b| (c.size_bytes / b).is_power_of_two())
+    };
+    let bad = if !predictor_entries.is_power_of_two() {
+        "predictor_entries must be a nonzero power of two"
+    } else if hier.mshrs == 0 {
+        "hier.mshrs must be positive"
+    } else if hier.banks == 0 {
+        "hier.banks must be positive"
+    } else if ![hier.l1d, hier.l1i, hier.l2].iter().all(geometry_ok) {
+        "cache geometry must have power-of-two lines and sets and a nonzero associativity"
+    } else {
+        return Ok(());
+    };
+    Err(SimError::InvalidConfig(bad))
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]

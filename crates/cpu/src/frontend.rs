@@ -85,10 +85,10 @@ pub struct PlainRun {
     pub len: u32,
 }
 
-/// Destination of [`FrontEnd::fetch_fast`]: either a flat
-/// `VecDeque<Fetched>` (every instruction materialized, as the generic
-/// `fetch` produces) or a split structure that keeps plain runs compact.
-/// Monomorphized, so the flat impl compiles to exactly the previous code.
+/// Destination of [`FrontEnd::fetch_fast`]: either the cores' split queue,
+/// which keeps plain runs compact, or a flat `VecDeque<Fetched>` with every
+/// instruction materialized as the generic `fetch` produces it (the form a
+/// checkpoint records).
 pub trait FetchSink {
     /// `k` plain instructions at `instrs[idx..idx + k]`, sequence numbers
     /// `seq0..seq0 + k`, first address `pc`, all fetched at `cycle`.
@@ -117,6 +117,96 @@ impl FetchSink for VecDeque<Fetched> {
 
     fn push_full(&mut self, f: Fetched) {
         self.push_back(f);
+    }
+}
+
+/// The split fetch queue both cores' fast paths fetch into: batch-fetched
+/// plain instructions stay as compact [`PlainRun`] descriptors while
+/// batch-breaking instructions (memory ops, control transfers, informing
+/// traps) are materialized in full. Both deques are individually
+/// sequence-ordered, so the true queue head is whichever front carries the
+/// lower sequence number. `total` tracks the summed pending-instruction
+/// count so the fetch gate sees the same queue depth as the generic path.
+#[derive(Debug, Clone)]
+pub(crate) struct FastQueue {
+    pub(crate) runs: VecDeque<PlainRun>,
+    pub(crate) full: VecDeque<Fetched>,
+    pub(crate) total: usize,
+}
+
+impl FastQueue {
+    pub(crate) fn from_restored(full: VecDeque<Fetched>) -> FastQueue {
+        let total = full.len();
+        FastQueue { runs: VecDeque::with_capacity(8), full, total }
+    }
+
+    /// Whether the queue head is the front plain run (`Some(true)`) or the
+    /// front full entry (`Some(false)`); `None` when the queue is empty.
+    #[inline]
+    pub(crate) fn head_is_plain(&self) -> Option<bool> {
+        match (self.runs.front(), self.full.front()) {
+            (Some(r), Some(f)) => Some(r.seq < f.seq),
+            (Some(_), None) => Some(true),
+            (None, Some(_)) => Some(false),
+            (None, None) => None,
+        }
+    }
+
+    /// Takes the first instruction of the front run as a one-instruction
+    /// descriptor, dropping the run once drained.
+    #[inline]
+    pub(crate) fn pop_plain(&mut self) -> PlainRun {
+        let head = self.runs.front_mut().expect("plain head exists");
+        let one = PlainRun { len: 1, ..*head };
+        head.seq += 1;
+        head.pc += 4;
+        head.idx += 1;
+        head.len -= 1;
+        if head.len == 0 {
+            self.runs.pop_front();
+        }
+        self.total -= 1;
+        one
+    }
+
+    /// Takes the front full entry.
+    #[inline]
+    pub(crate) fn pop_full(&mut self) -> Fetched {
+        self.total -= 1;
+        self.full.pop_front().expect("full head exists")
+    }
+
+    /// Re-materializes the interleaved `VecDeque<Fetched>` the generic loop
+    /// would hold at this boundary, for checkpoint encoding. Plain entries
+    /// are fully derivable from their run descriptor plus the program text
+    /// (no probe, no resolve, no trap, no condition-code dependence).
+    pub(crate) fn materialize(&self, instrs: &[Instr]) -> VecDeque<Fetched> {
+        let (mut q, mut out) = (self.clone(), VecDeque::with_capacity(self.total));
+        while let Some(plain) = q.head_is_plain() {
+            if plain {
+                let r = q.pop_plain();
+                out.push_plain(instrs, r.idx as usize, r.pc, r.seq, 1, r.fetch_cycle);
+            } else {
+                out.push_back(q.pop_full());
+            }
+        }
+        out
+    }
+}
+
+// `#[inline]`: called from the cores' `fetch_fast` instances, in other modules.
+impl FetchSink for FastQueue {
+    #[inline]
+    fn push_plain(&mut self, _: &[Instr], idx: usize, pc: u64, seq0: u64, k: u32, cycle: u64) {
+        let run = PlainRun { seq: seq0, pc, fetch_cycle: cycle, idx: idx as u32, len: k };
+        self.runs.push_back(run);
+        self.total += k as usize;
+    }
+
+    #[inline]
+    fn push_full(&mut self, f: Fetched) {
+        self.full.push_back(f);
+        self.total += 1;
     }
 }
 

@@ -30,7 +30,7 @@ use imo_util::snapshot::{self, Snapshot as _, SnapshotError};
 use crate::ckpt;
 use crate::config::InOrderConfig;
 use crate::config::TrapModel;
-use crate::frontend::{FetchSink, Fetched, FrontEnd, PlainRun, Resolve};
+use crate::frontend::{FastQueue, Fetched, FrontEnd, Resolve};
 use crate::result::{MemCounters, RunLimits, RunOutcome, RunResult, SimError, SlotBreakdown};
 use crate::sched::{Horizon, WakeupQueue};
 
@@ -115,8 +115,8 @@ fn charge_idle_cpi(
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] if the program faults, exceeds `limits`, or the
-/// model detects a deadlock.
+/// Returns [`SimError`] if the configuration is malformed, the program
+/// faults, exceeds `limits`, or the model detects a deadlock.
 ///
 /// # Example
 ///
@@ -195,77 +195,6 @@ pub fn simulate_faulty(
     run(program, cfg, limits, Some(plan), None, None)?.expect_done().map(|(r, _)| r)
 }
 
-/// The fast path's split fetch queue: batch-fetched plain instructions stay
-/// as compact [`PlainRun`] descriptors while batch-breaking instructions
-/// (memory ops, control transfers, informing traps) are materialized in
-/// full. Both deques are individually sequence-ordered, so the true queue
-/// head is whichever front carries the lower sequence number. `total`
-/// tracks the summed pending-instruction count so the fetch gate sees the
-/// same queue depth as the generic path.
-struct FastQueue {
-    runs: VecDeque<PlainRun>,
-    full: VecDeque<Fetched>,
-    total: usize,
-}
-
-impl FastQueue {
-    fn from_restored(full: VecDeque<Fetched>) -> FastQueue {
-        let total = full.len();
-        FastQueue { runs: VecDeque::with_capacity(8), full, total }
-    }
-
-    /// Re-materializes the interleaved `VecDeque<Fetched>` the generic loop
-    /// would hold at this boundary, for checkpoint encoding. Plain entries
-    /// are fully derivable from their run descriptor plus the program text
-    /// (no probe, no resolve, no trap, no condition-code dependence).
-    fn materialize(&self, instrs: &[Instr]) -> VecDeque<Fetched> {
-        let mut out = VecDeque::with_capacity(self.total);
-        let mut runs = self.runs.iter().peekable();
-        let mut full = self.full.iter().peekable();
-        loop {
-            let take_run = match (runs.peek(), full.peek()) {
-                (Some(r), Some(f)) => r.seq < f.seq,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if take_run {
-                let r = runs.next().expect("peeked");
-                out.push_plain(instrs, r.idx as usize, r.pc, r.seq, r.len, r.fetch_cycle);
-            } else {
-                out.push_back(*full.next().expect("peeked"));
-            }
-        }
-        out
-    }
-}
-
-impl FetchSink for FastQueue {
-    fn push_plain(
-        &mut self,
-        _instrs: &[Instr],
-        idx: usize,
-        pc: u64,
-        seq0: u64,
-        k: u32,
-        cycle: u64,
-    ) {
-        self.runs.push_back(PlainRun {
-            seq: seq0,
-            pc,
-            fetch_cycle: cycle,
-            idx: idx as u32,
-            len: k,
-        });
-        self.total += k as usize;
-    }
-
-    fn push_full(&mut self, f: Fetched) {
-        self.full.push_back(f);
-        self.total += 1;
-    }
-}
-
 /// Encodes every `run`-loop local at a cycle boundary (the checkpoint body).
 #[allow(clippy::too_many_arguments)]
 fn encode_loop(
@@ -285,7 +214,9 @@ fn encode_loop(
     let mut pending: u64 = 0;
     let mut to_mem: u64 = 0;
     for (i, r) in regs.iter().enumerate() {
-        if r.miss_pending {
+        // Only live flags: one whose data arrived before `now` is dead, and
+        // the fast loop clears it lazily on the cycles it visits.
+        if r.miss_pending && r.ready >= now {
             pending |= 1 << i;
         }
         if r.miss_to_mem {
@@ -337,6 +268,7 @@ pub(crate) fn run(
     obs: Option<&mut Recorder>,
     resume: Option<&Json>,
 ) -> Result<RunOutcome, SimError> {
+    cfg.validate()?;
     // Monomorphized on "observed or not", like `FetchSink`: the unobserved
     // instantiation compiles every recording hook out of the fast loop.
     match obs {
@@ -1402,6 +1334,28 @@ mod tests {
         let p = a.assemble().unwrap();
         let res = run(&p);
         assert_eq!(res.slots.total(), res.cycles * 4);
+    }
+
+    #[test]
+    fn malformed_configs_end_in_typed_errors() {
+        let mut a = Asm::new();
+        a.halt();
+        let p = a.assemble().unwrap();
+        let breakers: [fn(&mut InOrderConfig); 5] = [
+            |c| c.predictor_entries = 0,
+            |c| c.predictor_entries = 3,
+            |c| c.hier.mshrs = 0,
+            |c| c.hier.banks = 0,
+            |c| c.hier.l1d.assoc = 0,
+        ];
+        for (case, break_cfg) in breakers.iter().enumerate() {
+            let mut cfg = InOrderConfig::paper();
+            break_cfg(&mut cfg);
+            for limits in [RunLimits::default(), RunLimits::tick_accurate()] {
+                let err = simulate(&p, &cfg, limits).unwrap_err();
+                assert!(matches!(err, SimError::InvalidConfig(_)), "case {case}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -23,134 +23,199 @@
 
 use std::collections::VecDeque;
 
-use imo_isa::{BlockCache, FuClass, Instr, MemKind, Program};
-use imo_mem::{HitLevel, MemoryHierarchy, MshrFile, MshrId};
+use imo_isa::{BlockCache, Instr, InstrMeta, Program, NO_REG};
+use imo_mem::{HitLevel, MemoryHierarchy, MshrFile, MshrId, ProbeResult};
 use imo_obs::{CpiCategory, CpiStack, EventKind, Recorder};
 use imo_util::json::Json;
 use imo_util::snapshot::{self, Snapshot as _, SnapshotError};
 
 use crate::ckpt;
 use crate::config::{OooConfig, TrapModel};
-use crate::frontend::{Fetched, FrontEnd, Resolve};
+use crate::frontend::{FastQueue, FetchSink, Fetched, FrontEnd, Resolve};
 use crate::result::{MemCounters, RunLimits, RunOutcome, RunResult, SimError, SlotBreakdown};
 use crate::sched::{Horizon, ReleasePool, WakeupQueue};
 use crate::trace::InstrTrace;
 
+/// Entry state; the discriminant is its checkpoint encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EState {
-    Waiting,
-    Issued,
-    Complete,
+    Waiting = 0,
+    Issued = 1,
+    Complete = 2,
 }
 
+/// An empty dependence slot.
+const NO_DEP: u64 = u64::MAX;
+/// Marks a dependence satisfied by the producer's cache outcome (the
+/// condition-code consumers) rather than by its value.
+const OUTCOME_DEP: u64 = 1 << 63;
+
+/// Entry flag bits: the entry holds a shadow checkpoint; it took an
+/// informing trap.
+const HOLDS_CKPT: u8 = 1 << 0;
+const TRAPPED: u8 = 1 << 1;
+
+fn entry_flags(ckpt: bool, trap: bool) -> u8 {
+    (u8::from(ckpt) * HOLDS_CKPT) | (u8::from(trap) * TRAPPED)
+}
+
+/// A reorder-buffer entry, decoded once at dispatch: the instruction's
+/// pre-decoded [`InstrMeta`] plus its dynamic state. `deps` holds producer
+/// sequence numbers — value dependences in source order, then at most one
+/// [`OUTCOME_DEP`] — packed ahead of [`NO_DEP`] padding.
 #[derive(Debug, Clone, Copy)]
-enum Dep {
-    /// Satisfied when the producer's result is available.
-    Value(u64),
-    /// Satisfied when the producer's cache outcome is known (condition-code
-    /// consumers).
-    Outcome(u64),
-}
-
-#[derive(Debug)]
 struct Entry {
-    f: Fetched,
-    state: EState,
-    deps: [Option<Dep>; 3],
+    seq: u64,
+    pc: u64,
+    fetch_cycle: u64,
     complete_cycle: u64,
     /// Cycle the hit/miss outcome (memory) or direction (branch) is known.
     outcome_cycle: u64,
-    uses_checkpoint: bool,
-    mshr: Option<MshrId>,
     dispatch_cycle: u64,
     issue_cycle: u64,
+    probe: Option<ProbeResult>,
+    deps: [u64; 3],
+    mshr: Option<MshrId>,
+    meta: InstrMeta,
+    state: EState,
+    resolve: Resolve,
+    flags: u8,
 }
 
-fn uses_checkpoint(f: &Fetched, trap_model: TrapModel) -> bool {
-    match f.instr {
-        Instr::Branch { .. } | Instr::BranchOnMiss { .. } | Instr::BranchOnMemMiss { .. } => true,
-        Instr::Load { kind, .. } | Instr::Store { kind, .. } => {
-            trap_model == TrapModel::Branch && kind == MemKind::Informing
+impl Entry {
+    /// A freshly dispatched entry: no probe, flags or dependences yet.
+    fn dispatched(seq: u64, pc: u64, fetch_cycle: u64, meta: InstrMeta, now: u64) -> Entry {
+        Entry {
+            seq,
+            pc,
+            fetch_cycle,
+            complete_cycle: u64::MAX,
+            outcome_cycle: u64::MAX,
+            dispatch_cycle: now,
+            issue_cycle: u64::MAX,
+            probe: None,
+            deps: [NO_DEP; 3],
+            mshr: None,
+            meta,
+            state: EState::Waiting,
+            resolve: Resolve::None,
+            flags: 0,
         }
-        _ => false,
+    }
+
+    /// The condition-code producer (the outcome dependence), if any.
+    fn cc_dep(&self) -> Option<u64> {
+        self.deps.iter().find(|&&d| d != NO_DEP && d & OUTCOME_DEP != 0).map(|d| d & !OUTCOME_DEP)
+    }
+
+    /// The level serving this entry's primary-cache miss while it is an
+    /// incomplete data reference — what a stall behind it is charged to.
+    fn pending_miss(&self) -> Option<HitLevel> {
+        let data_ref = self.meta.flags & InstrMeta::DATA_REF != 0;
+        self.probe
+            .map(|p| p.level)
+            .filter(|l| l.is_l1_miss() && data_ref && self.state != EState::Complete)
     }
 }
 
-fn entry_json(e: &Entry) -> Json {
-    let deps = e.deps.iter().flatten().map(|d| {
-        let (kind, seq) = match *d {
-            Dep::Value(s) => (0, s),
-            Dep::Outcome(s) => (1, s),
-        };
-        Json::obj([("kind", snapshot::u64_json(kind)), ("seq", snapshot::u64_json(seq))])
+/// Encodes an entry in the wire format of the fat-entry ROB it replaced:
+/// `instr`, `cc_dep` and `is_cond_branch` are re-derived from the program
+/// text, the outcome dependence and the metadata.
+fn entry_json(program: &Program, e: &Entry) -> Json {
+    let deps = e.deps.iter().filter(|&&d| d != NO_DEP).map(|&d| {
+        Json::obj([
+            ("kind", snapshot::u64_json(d >> 63)),
+            ("seq", snapshot::u64_json(d & !OUTCOME_DEP)),
+        ])
     });
+    let f = Fetched {
+        seq: e.seq,
+        pc: e.pc,
+        instr: program.fetch(e.pc).expect("ROB entries hold text addresses"),
+        fetch_cycle: e.fetch_cycle,
+        probe: e.probe,
+        informing_trap: e.flags & TRAPPED != 0,
+        resolve: e.resolve,
+        cc_dep: e.cc_dep(),
+        is_cond_branch: e.meta.flags & InstrMeta::COND_BRANCH != 0,
+    };
     Json::obj([
-        ("f", ckpt::fetched_json(&e.f)),
-        (
-            "state",
-            snapshot::u64_json(match e.state {
-                EState::Waiting => 0,
-                EState::Issued => 1,
-                EState::Complete => 2,
-            }),
-        ),
+        ("f", ckpt::fetched_json(&f)),
+        ("state", snapshot::u64_json(e.state as u64)),
         ("deps", Json::arr(deps)),
         ("complete", snapshot::u64_json(e.complete_cycle)),
         ("outcome", snapshot::u64_json(e.outcome_cycle)),
-        ("ckpt", Json::Bool(e.uses_checkpoint)),
+        ("ckpt", Json::Bool(e.flags & HOLDS_CKPT != 0)),
         ("mshr", snapshot::opt_u64_json(e.mshr.map(|id| id.raw() as u64))),
         ("dispatch", snapshot::u64_json(e.dispatch_cycle)),
         ("issue", snapshot::u64_json(e.issue_cycle)),
     ])
 }
 
-fn decode_entry(program: &Program, cfg: &OooConfig, j: &Json) -> Result<Entry, SnapshotError> {
+fn decode_entry(
+    program: &Program,
+    cache: &BlockCache,
+    cfg: &OooConfig,
+    j: &Json,
+) -> Result<Entry, SnapshotError> {
     let deps_wire = snapshot::field(j, "deps")?.as_arr().ok_or(SnapshotError::Bad("deps"))?;
     if deps_wire.len() > 3 {
         return Err(SnapshotError::Bad("deps"));
     }
-    let mut deps: [Option<Dep>; 3] = [None; 3];
+    let mut deps = [NO_DEP; 3];
     for (slot, d) in deps.iter_mut().zip(deps_wire) {
         let seq = snapshot::get_u64(d, "seq")?;
-        *slot = Some(match snapshot::get_u64(d, "kind")? {
-            0 => Dep::Value(seq),
-            1 => Dep::Outcome(seq),
+        *slot = match snapshot::get_u64(d, "kind")? {
+            0 if seq < OUTCOME_DEP => seq,
+            1 if seq < OUTCOME_DEP => seq | OUTCOME_DEP,
             _ => return Err(SnapshotError::Bad("deps")),
-        });
+        };
     }
     let mshr = match snapshot::get_opt_u64(j, "mshr")? {
         Some(raw) if raw < u64::from(cfg.hier.mshrs) => Some(MshrId::from_raw(raw as usize)),
         Some(_) => return Err(SnapshotError::Bad("mshr")),
         None => None,
     };
-    Ok(Entry {
-        f: ckpt::decode_fetched(program, snapshot::field(j, "f")?)?,
+    let f = ckpt::decode_fetched(program, snapshot::field(j, "f")?)?;
+    let ckpt = match snapshot::field(j, "ckpt")? {
+        Json::Bool(b) => *b,
+        _ => return Err(SnapshotError::Bad("ckpt")),
+    };
+    let e = Entry {
+        seq: f.seq,
+        pc: f.pc,
+        fetch_cycle: f.fetch_cycle,
+        complete_cycle: snapshot::get_u64(j, "complete")?,
+        outcome_cycle: snapshot::get_u64(j, "outcome")?,
+        dispatch_cycle: snapshot::get_u64(j, "dispatch")?,
+        issue_cycle: snapshot::get_u64(j, "issue")?,
+        probe: f.probe,
+        deps,
+        mshr,
+        meta: *cache.meta_at(f.pc).ok_or(SnapshotError::Bad("pc"))?,
         state: match snapshot::get_u64(j, "state")? {
             0 => EState::Waiting,
             1 => EState::Issued,
             2 => EState::Complete,
             _ => return Err(SnapshotError::Bad("state")),
         },
-        deps,
-        complete_cycle: snapshot::get_u64(j, "complete")?,
-        outcome_cycle: snapshot::get_u64(j, "outcome")?,
-        uses_checkpoint: match snapshot::field(j, "ckpt")? {
-            Json::Bool(b) => *b,
-            _ => return Err(SnapshotError::Bad("ckpt")),
-        },
-        mshr,
-        dispatch_cycle: snapshot::get_u64(j, "dispatch")?,
-        issue_cycle: snapshot::get_u64(j, "issue")?,
-    })
+        resolve: f.resolve,
+        flags: entry_flags(ckpt, f.informing_trap),
+    };
+    // The re-derived fields must round-trip, or re-encoding would differ.
+    if e.cc_dep() != f.cc_dep || (e.meta.flags & InstrMeta::COND_BRANCH != 0) != f.is_cond_branch {
+        return Err(SnapshotError::Bad("f"));
+    }
+    Ok(e)
 }
 
 /// Simulates `program` to completion on the out-of-order model.
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] if the program faults, exceeds `limits`, or the
-/// model detects a deadlock (which indicates a configuration with zero units
-/// or a model bug).
+/// Returns [`SimError`] if the configuration is malformed, the program
+/// faults, exceeds `limits`, or the model detects a deadlock (which
+/// indicates a configuration with zero units or a model bug).
 ///
 /// # Example
 ///
@@ -240,6 +305,7 @@ pub fn simulate_traced(
 /// Encodes every `run`-loop local at a cycle boundary (the checkpoint body).
 #[allow(clippy::too_many_arguments)]
 fn encode_loop(
+    program: &Program,
     hier: &MemoryHierarchy,
     fe: &FrontEnd,
     mshrs: &MshrFile,
@@ -261,7 +327,7 @@ fn encode_loop(
         ("hier", hier.to_wire()),
         ("fe", fe.encode()),
         ("mshrs", mshrs.to_wire()),
-        ("rob", Json::arr(rob.iter().map(entry_json))),
+        ("rob", Json::arr(rob.iter().map(|e| entry_json(program, e)))),
         ("rob_base", snapshot::u64_json(rob_base)),
         ("fetch_q", Json::arr(fetch_q.iter().map(ckpt::fetched_json))),
         ("last_writer", Json::arr(last_writer.iter().map(|w| snapshot::opt_u64_json(*w)))),
@@ -287,16 +353,20 @@ pub(crate) fn run(
     mut obs: Option<&mut Recorder>,
     resume: Option<&Json>,
 ) -> Result<RunOutcome, SimError> {
+    cfg.validate()?;
     let handler_stream = faults
         .filter(|plan| plan.config().has_handler())
         .map(|plan| (plan.handlers(), plan.config().degrade_after));
+    // The pre-decoded metadata is the core's only instruction decode, in
+    // every mode: dispatch, issue and graduation read `InstrMeta` flags.
+    let cache = BlockCache::build(program, |i| cfg.latency(i));
 
     let mut hier;
     let mut fe;
     let mut mshrs;
     let mut rob: VecDeque<Entry>;
     let mut rob_base: u64; // seq of rob.front()
-    let mut fetch_q: VecDeque<Fetched>;
+    let mut fq: FastQueue;
     let mut last_writer: [Option<u64>; 64];
     // Future-event queues (deterministic min-heaps; see `crate::sched`).
     let mut resolve_q: WakeupQueue<u64>; // seq due at cycle
@@ -323,15 +393,17 @@ pub(crate) fn run(
             .as_arr()
             .ok_or(SnapshotError::Bad("rob"))?
             .iter()
-            .map(|j| decode_entry(program, cfg, j))
+            .map(|j| decode_entry(program, &cache, cfg, j))
             .collect::<Result<_, _>>()?;
         rob_base = snapshot::get_u64(body, "rob_base")?;
-        fetch_q = snapshot::field(body, "fetch_q")?
-            .as_arr()
-            .ok_or(SnapshotError::Bad("fetch_q"))?
-            .iter()
-            .map(|j| ckpt::decode_fetched(program, j))
-            .collect::<Result<_, _>>()?;
+        fq = FastQueue::from_restored(
+            snapshot::field(body, "fetch_q")?
+                .as_arr()
+                .ok_or(SnapshotError::Bad("fetch_q"))?
+                .iter()
+                .map(|j| ckpt::decode_fetched(program, j))
+                .collect::<Result<_, _>>()?,
+        );
         let lw = snapshot::get_arr(body, "last_writer", |j| match j {
             Json::Null => Ok(None),
             Json::Str(s) => {
@@ -378,7 +450,7 @@ pub(crate) fn run(
         mshrs = MshrFile::new(cfg.hier.mshrs, cfg.mshr_mode);
         rob = VecDeque::with_capacity(cfg.rob_entries as usize);
         rob_base = 0;
-        fetch_q = VecDeque::with_capacity(2 * cfg.issue_width as usize);
+        fq = FastQueue::from_restored(VecDeque::with_capacity(2 * cfg.issue_width as usize));
         last_writer = [None; 64];
         // Structural bounds: at most one pending resolution / shadow
         // checkpoint per ROB entry, one fill per MSHR.
@@ -394,26 +466,33 @@ pub(crate) fn run(
     }
     let mut fetch_buf: Vec<Fetched> = Vec::with_capacity(cfg.issue_width as usize);
 
-    // Programs without condition-code branches never create `Dep::Outcome`
-    // edges, so their wakeup horizon can skip the per-entry outcome-cycle
-    // candidates (the common case on the figure 2/3 trap schemes).
-    let has_cc_consumers = program
-        .instrs()
-        .iter()
-        .any(|i| matches!(i, Instr::BranchOnMiss { .. } | Instr::BranchOnMemMiss { .. }));
+    // Programs without condition-code branches never create outcome
+    // dependences, so their wakeup horizon can skip the per-entry
+    // outcome-cycle candidates (the common case on the figure 2/3 trap
+    // schemes).
+    let has_cc_consumers =
+        cache.meta().iter().any(|m| m.flags & (InstrMeta::BMISS | InstrMeta::BMEMMISS) != 0);
+    // Conditional branches and `bmiss`es hold a shadow checkpoint while
+    // unresolved, and so do informing memory operations under the branch
+    // trap model.
+    let ckpt_flags = InstrMeta::COND_BRANCH
+        | InstrMeta::BMISS
+        | InstrMeta::BMEMMISS
+        | if cfg.trap_model == TrapModel::Branch { InstrMeta::INFORMING } else { 0 };
+    // Indexed by `InstrMeta::fu`: Int, Fp, Branch, Mem.
+    let fu_cap = [cfg.int_units, cfg.fp_units, cfg.branch_units, cfg.mem_units];
 
     let width = cfg.issue_width as u64;
     let mut done = false;
 
     // Fast mode: untraced, event-driven runs without a pipeline-event
-    // recorder consume pre-decoded blocks in the front end and may use the
-    // dense-streak liveness shortcut in the advance phase (see
+    // recorder fetch pre-decoded plain runs into the split queue and may use
+    // the dense-streak liveness shortcut in the advance phase (see
     // `RunLimits::allows_fast_path`). Traced, pipeline-observed and
     // tick-accurate runs are the unchanged bit-identity reference.
     let fast = trace.is_none() && limits.allows_fast_path(obs.as_deref());
-    let cache = fast.then(|| BlockCache::build(program, |i| cfg.latency(i)));
-    if let Some(cache) = &cache {
-        fe.attach_blocks(cache);
+    if fast {
+        fe.attach_blocks(&cache);
     }
     // Dense-streak shortcut state: after `DENSE_STREAK` consecutive
     // no-progress horizon folds that each landed on the very next cycle, the
@@ -441,70 +520,18 @@ pub(crate) fn run(
             }
         }
     }
-    // Issue-stall hints (fast mode): slot `seq & 63` holds a provable lower
+    // Issue-stall hints (masks on): slot `seq & 63` holds a provable lower
     // bound on the cycle at which that entry could first pass the issue
     // checks, so the issue stage skips its dependency walk until then. Seqs
     // are contiguous and the ROB holds at most 64 entries, so live seqs never
-    // collide; dispatch resets the slot. All-zero (recheck immediately) is
-    // always safe, which is why the hints live outside the checkpoint.
+    // collide. A consumer whose walk meets a still-`Waiting` producer parks:
+    // its hint becomes `u64::MAX` and its bit is set in that producer's
+    // `waiters` slot, and the producer's issue lowers the hints of everyone
+    // parked on it (DESIGN.md §15.5). Dispatch resets both slots. All-zero
+    // (recheck immediately, nobody parked) is always safe, which is why
+    // neither array is checkpointed: a resumed run parks its consumers again.
     let mut issue_hints = [0u64; 64];
-
-    let fu_cap = |c: FuClass| -> u32 {
-        match c {
-            FuClass::Int => cfg.int_units,
-            FuClass::Fp => cfg.fp_units,
-            FuClass::Branch => cfg.branch_units,
-            FuClass::Mem => cfg.mem_units,
-        }
-    };
-
-    // Earliest cycle at which `dep` can possibly become ready: 0 when it is
-    // ready now, a provable future lower bound otherwise. Readiness means the
-    // producer has graduated (left the ROB), or — for value deps — completed
-    // by `now`, or — for outcome deps — left `Waiting` with its
-    // `outcome_cycle` due. `bound <= now` is exactly that predicate, and a
-    // future bound is a pure filter for the issue stage: re-evaluating at or
-    // after it gives the truth, so skipping the dep walk before it is exact.
-    //
-    // * A `Waiting` producer cannot ready a consumer this cycle (issuing now
-    //   yields completion/outcome cycles strictly in the future, and
-    //   graduation requires completion first), hence `now + 1`.
-    // * An `Issued` producer's `complete_cycle`/`outcome_cycle` are fixed at
-    //   issue; during the issue stage they are strictly future (stage 3
-    //   already retired anything due). Graduation — which also readies
-    //   outcome consumers — cannot precede `complete_cycle + 1`.
-    // * A `Complete` producer may still leave the ROB next cycle, readying
-    //   an outcome consumer before `outcome_cycle`, so only `now + 1` is
-    //   provable there.
-    let dep_bound = |rob: &VecDeque<Entry>, rob_base: u64, dep: Dep, now: u64| -> u64 {
-        let (seq, outcome) = match dep {
-            Dep::Value(s) => (s, false),
-            Dep::Outcome(s) => (s, true),
-        };
-        if seq < rob_base {
-            return 0;
-        }
-        match rob.get((seq - rob_base) as usize) {
-            None => 0,
-            Some(p) => match p.state {
-                EState::Waiting => now + 1,
-                EState::Issued => {
-                    if outcome {
-                        p.outcome_cycle.min(p.complete_cycle + 1)
-                    } else {
-                        p.complete_cycle
-                    }
-                }
-                EState::Complete => {
-                    if outcome && p.outcome_cycle > now {
-                        p.outcome_cycle.min(now + 1)
-                    } else {
-                        0
-                    }
-                }
-            },
-        }
-    };
+    let mut waiters = [0u64; 64];
 
     // CPI-stack classification for a cycle that graduates nothing. The trap
     // check precedes the memory checks so the handler-redirect bubbles land
@@ -514,18 +541,11 @@ pub(crate) fn run(
         if fe.blocked_on_trap() {
             return CpiCategory::Handler;
         }
-        if let Some(h) = rob.front() {
-            if h.state != EState::Complete && h.f.instr.is_data_ref() {
-                if let Some(p) = h.f.probe {
-                    match p.level {
-                        HitLevel::L2 => return CpiCategory::L1Miss,
-                        HitLevel::Memory => return CpiCategory::L2Miss,
-                        HitLevel::L1 => {}
-                    }
-                }
-            }
+        match rob.front().and_then(Entry::pending_miss) {
+            Some(HitLevel::L2) => CpiCategory::L1Miss,
+            Some(HitLevel::Memory) => CpiCategory::L2Miss,
+            _ => CpiCategory::IssueStall,
         }
-        CpiCategory::IssueStall
     };
 
     while !done {
@@ -536,12 +556,13 @@ pub(crate) fn run(
             return Ok(RunOutcome::Paused {
                 cycle: now,
                 body: encode_loop(
+                    program,
                     &hier,
                     &fe,
                     &mshrs,
                     &rob,
                     rob_base,
-                    &fetch_q,
+                    &fq.materialize(program.instrs()),
                     &last_writer,
                     &resolve_q,
                     &ckpt_release_q,
@@ -577,26 +598,26 @@ pub(crate) fn run(
             // Stores drain through the write buffer at graduation. Any free
             // slot is as good as any other, so the pool hands out the
             // earliest-released one (see `ReleasePool`).
-            if matches!(head.f.instr, Instr::Store { .. }) {
+            if head.meta.kind == InstrMeta::KIND_STORE {
                 if !wb_release.has_free(now) {
                     break; // write buffer full: stall graduation
                 }
-                let probe = head.f.probe.expect("stores probe the cache");
+                let probe = head.probe.expect("stores probe the cache");
                 let t = hier.schedule_data(probe, now);
                 wb_release.acquire_until(now, t.complete);
             }
             let e = rob.pop_front().expect("front exists");
-            rob_base = e.f.seq + 1;
+            rob_base = e.seq + 1;
             // A graduating head is Complete, so its mask bits are clear and
             // the shift drops exactly its slot.
             waiting_mask >>= 1;
             issued_mask >>= 1;
             if let Some(tr) = trace.as_deref_mut() {
                 tr.push(InstrTrace {
-                    seq: e.f.seq,
-                    pc: e.f.pc,
-                    instr: e.f.instr,
-                    fetch: e.f.fetch_cycle,
+                    seq: e.seq,
+                    pc: e.pc,
+                    instr: program.fetch(e.pc).expect("ROB entries hold text addresses"),
+                    fetch: e.fetch_cycle,
                     dispatch: e.dispatch_cycle,
                     issue: e.issue_cycle,
                     complete: e.complete_cycle,
@@ -607,25 +628,25 @@ pub(crate) fn run(
                 mshrs.graduate(id);
             }
             if let Some(rec) = obs.as_deref_mut() {
-                rec.record(now, EventKind::Graduate { seq: e.f.seq });
-                if matches!(e.f.instr, Instr::JumpMhrr) {
-                    rec.record(now, EventKind::TrapReturn { seq: e.f.seq });
+                rec.record(now, EventKind::Graduate { seq: e.seq });
+                if program.fetch(e.pc) == Some(Instr::JumpMhrr) {
+                    rec.record(now, EventKind::TrapReturn { seq: e.seq });
                 }
-                if matches!(e.f.instr, Instr::Load { .. }) && e.issue_cycle != u64::MAX {
+                if e.meta.kind == InstrMeta::KIND_LOAD && e.issue_cycle != u64::MAX {
                     rec.metrics
                         .observe("cpu.load_to_use", e.complete_cycle.saturating_sub(e.issue_cycle));
                 }
-                if e.f.informing_trap {
+                if e.flags & TRAPPED != 0 {
                     let resolved =
-                        if e.f.resolve == Resolve::AtGraduate { now } else { e.outcome_cycle };
+                        if e.resolve == Resolve::AtGraduate { now } else { e.outcome_cycle };
                     rec.metrics
-                        .observe("cpu.trap_redirect", resolved.saturating_sub(e.f.fetch_cycle));
+                        .observe("cpu.trap_redirect", resolved.saturating_sub(e.fetch_cycle));
                 }
             }
-            if e.f.resolve == Resolve::AtGraduate {
-                fe.resolve(e.f.seq, now, cfg.redirect_penalty);
+            if e.resolve == Resolve::AtGraduate {
+                fe.resolve(e.seq, now, cfg.redirect_penalty);
             }
-            if matches!(e.f.instr, Instr::Halt) {
+            if e.meta.flags & InstrMeta::HALT != 0 {
                 done = true;
             }
             graduated_total += 1;
@@ -638,12 +659,7 @@ pub(crate) fn run(
         slots.busy += g;
         if g < width && !done {
             let lost = width - g;
-            let head_is_miss_stall = rob.front().is_some_and(|h| {
-                h.state != EState::Complete
-                    && h.f.instr.is_data_ref()
-                    && h.f.probe.is_some_and(|p| p.level.is_l1_miss())
-            });
-            if head_is_miss_stall {
+            if rob.front().and_then(Entry::pending_miss).is_some() {
                 slots.cache_stall += lost;
             } else {
                 slots.other_stall += lost;
@@ -700,14 +716,6 @@ pub(crate) fn run(
 
         // ---- 6. Issue (oldest-ready-first within FU limits) ----
         let mut fu_used = [0u32; 4];
-        let fu_idx = |c: FuClass| -> usize {
-            match c {
-                FuClass::Int => 0,
-                FuClass::Fp => 1,
-                FuClass::Branch => 2,
-                FuClass::Mem => 3,
-            }
-        };
         // With masks on, visit only Waiting entries (ascending index, same
         // order as the full scan); otherwise walk the whole ROB.
         let mut wscan = waiting_mask;
@@ -730,78 +738,113 @@ pub(crate) fn run(
                 iscan += 1;
                 iscan - 1
             };
-            // Evaluate the issue conditions; when a timing condition fails,
-            // record the provable lower bound so later cycles skip the walk.
-            let (can, stall_until) = {
-                let e = &rob[i];
-                if e.state != EState::Waiting {
-                    (false, 0)
-                } else {
-                    let mut bound = e.f.fetch_cycle + cfg.frontend_depth;
-                    for &d in e.deps.iter().flatten() {
-                        bound = bound.max(dep_bound(&rob, rob_base, d, now));
-                    }
-                    if bound > now {
-                        (false, bound)
-                    } else {
-                        let fu = e.f.instr.fu_class();
-                        // Structural hazards clear next cycle: no useful bound.
-                        (fu_used[fu_idx(fu)] < fu_cap(fu), 0)
-                    }
+            let e = &rob[i];
+            if e.state != EState::Waiting {
+                continue;
+            }
+            // The earliest cycle the entry can pass its timing checks. A
+            // dependence is ready once its producer has graduated (left the
+            // ROB), or — value — completed by `now`, or — outcome — left
+            // `Waiting` with its `outcome_cycle` due; each arm below is a
+            // provable lower bound on that, so a future bound is a pure
+            // filter and skipping the walk before it is exact.
+            //
+            // * A `Waiting` producer cannot ready a consumer before it
+            //   issues (issuing yields completion/outcome cycles strictly in
+            //   the future, and graduation requires completion first): the
+            //   consumer parks on it.
+            // * An `Issued` producer's `complete_cycle`/`outcome_cycle` are
+            //   fixed at issue. Graduation — which also readies outcome
+            //   consumers — cannot precede `complete_cycle + 1`.
+            // * A `Complete` producer may still leave the ROB next cycle,
+            //   readying an outcome consumer before `outcome_cycle`, so only
+            //   `now + 1` is provable there.
+            let mut bound = e.fetch_cycle + cfg.frontend_depth;
+            for &d in &e.deps {
+                if d == NO_DEP {
+                    break;
                 }
-            };
-            if !can {
-                if masks_on && stall_until > now {
-                    issue_hints[((rob_base + i as u64) & 63) as usize] = stall_until;
+                let (seq, outcome) = (d & !OUTCOME_DEP, d & OUTCOME_DEP != 0);
+                let Some(p) = seq.checked_sub(rob_base).and_then(|k| rob.get(k as usize)) else {
+                    continue; // graduated
+                };
+                bound = bound.max(match p.state {
+                    EState::Waiting => {
+                        if masks_on {
+                            waiters[(seq & 63) as usize] |= 1 << (e.seq & 63);
+                        }
+                        u64::MAX
+                    }
+                    EState::Issued if outcome => p.outcome_cycle.min(p.complete_cycle + 1),
+                    EState::Issued => p.complete_cycle,
+                    EState::Complete if outcome && p.outcome_cycle > now => {
+                        p.outcome_cycle.min(now + 1)
+                    }
+                    EState::Complete => 0,
+                });
+                if bound == u64::MAX {
+                    break;
+                }
+            }
+            if bound > now {
+                if masks_on {
+                    issue_hints[(e.seq & 63) as usize] = bound;
                 }
                 continue;
             }
-            let fu = rob[i].f.instr.fu_class();
-            fu_used[fu_idx(fu)] += 1;
+            // Structural hazards clear next cycle: no useful bound.
+            let fu = usize::from(e.meta.fu);
+            if fu_used[fu] >= fu_cap[fu] {
+                continue;
+            }
+            fu_used[fu] += 1;
             progress = true;
             if masks_on {
                 waiting_mask &= !(1u64 << i);
                 issued_mask |= 1u64 << i;
             }
 
-            // Compute timing (separate scope to appease the borrow checker).
-            let (complete, outcome, alloc_mshr) = {
-                let e = &rob[i];
-                match e.f.instr {
-                    Instr::Load { .. } => {
-                        let probe = e.f.probe.expect("loads probe");
-                        let t = hier.schedule_data(probe, now);
-                        let outcome = t.start + cfg.hier.l1_latency;
-                        (
-                            t.complete,
-                            outcome,
-                            probe.level.is_l1_miss().then_some((probe.line, t.complete)),
-                        )
+            let (complete, outcome, alloc_mshr) = match e.meta.kind {
+                InstrMeta::KIND_LOAD => {
+                    let probe = e.probe.expect("loads probe");
+                    let t = hier.schedule_data(probe, now);
+                    let outcome = t.start + cfg.hier.l1_latency;
+                    (
+                        t.complete,
+                        outcome,
+                        probe.level.is_l1_miss().then_some((probe.line, t.complete)),
+                    )
+                }
+                InstrMeta::KIND_PREFETCH => {
+                    if let Some(probe) = e.probe {
+                        let _ = hier.schedule_data(probe, now);
                     }
-                    Instr::Prefetch { .. } => {
-                        if let Some(probe) = e.f.probe {
-                            let _ = hier.schedule_data(probe, now);
-                        }
-                        (now + 1, now + 1, None)
-                    }
-                    Instr::Store { .. } => {
-                        // Address generation now; the cache is probed at
-                        // graduation. The outcome (for the condition code) is
-                        // known after an early tag probe.
-                        (now + 1, now + cfg.hier.l1_latency, None)
-                    }
-                    ref other => {
-                        let lat = cfg.latency(other);
-                        (now + lat, now + lat, None)
-                    }
+                    (now + 1, now + 1, None)
+                }
+                // Address generation now; the cache is probed at graduation.
+                // The outcome (for the condition code) is known after an
+                // early tag probe.
+                InstrMeta::KIND_STORE => (now + 1, now + cfg.hier.l1_latency, None),
+                _ => {
+                    let lat = u64::from(e.meta.lat);
+                    (now + lat, now + lat, None)
                 }
             };
+            if masks_on {
+                // Wake the consumers parked on this producer: none can pass
+                // before its first completion or outcome cycle.
+                let mut w = std::mem::take(&mut waiters[(e.seq & 63) as usize]);
+                while w != 0 {
+                    issue_hints[w.trailing_zeros() as usize] = complete.min(outcome);
+                    w &= w - 1;
+                }
+            }
             let e = &mut rob[i];
             e.state = EState::Issued;
             e.issue_cycle = now;
             e.complete_cycle = complete;
             e.outcome_cycle = outcome;
-            imo_obs::record(&mut obs, now, EventKind::Issue { seq: e.f.seq });
+            imo_obs::record(&mut obs, now, EventKind::Issue { seq: e.seq });
             if let Some((line, fill)) = alloc_mshr {
                 let fresh = mshrs.find(line).is_none();
                 if let Some(id) = mshrs.allocate(line) {
@@ -814,88 +857,81 @@ pub(crate) fn run(
                     }
                 }
             }
-            if e.uses_checkpoint {
-                ckpt_release_q.push(e.outcome_cycle, ());
+            if e.flags & HOLDS_CKPT != 0 {
+                ckpt_release_q.push(outcome, ());
             }
-            if e.f.resolve == Resolve::AtExecute {
-                resolve_q.push_keyed(e.outcome_cycle, e.f.seq, e.f.seq);
+            if e.resolve == Resolve::AtExecute {
+                resolve_q.push_keyed(outcome, e.seq, e.seq);
             }
         }
 
         // ---- 7. Dispatch ----
         let mut d = 0;
-        while d < cfg.issue_width {
-            if rob.len() >= cfg.rob_entries as usize {
-                break;
-            }
-            let Some(f) = fetch_q.front() else { break };
-            let needs_ckpt = uses_checkpoint(f, cfg.trap_model);
-            if needs_ckpt && checkpoints_in_use >= cfg.max_checkpoints {
-                break;
-            }
-            let f = fetch_q.pop_front().expect("front exists");
-            if needs_ckpt {
-                checkpoints_in_use += 1;
-            }
-            let mut deps: [Option<Dep>; 3] = [None; 3];
+        while d < cfg.issue_width && rob.len() < cfg.rob_entries as usize {
+            let Some(plain) = fq.head_is_plain() else { break };
+            let mut e = if plain {
+                // A plain instruction needs no checkpoint, probe or
+                // condition-code dependence: its run descriptor and its
+                // pre-decoded metadata are the whole entry.
+                let r = fq.pop_plain();
+                Entry::dispatched(r.seq, r.pc, r.fetch_cycle, *cache.meta_idx(r.idx as usize), now)
+            } else {
+                let f = fq.full.front().expect("full head exists");
+                let meta = *cache.meta_at(f.pc).expect("fetched addresses are in text");
+                let needs_ckpt = meta.flags & ckpt_flags != 0;
+                if needs_ckpt && checkpoints_in_use >= cfg.max_checkpoints {
+                    break;
+                }
+                checkpoints_in_use += u32::from(needs_ckpt);
+                let f = fq.pop_full();
+                let mut e = Entry::dispatched(f.seq, f.pc, f.fetch_cycle, meta, now);
+                e.probe = f.probe;
+                e.resolve = f.resolve;
+                e.flags = entry_flags(needs_ckpt, f.informing_trap);
+                e.deps[2] = f.cc_dep.map_or(NO_DEP, |cc| cc | OUTCOME_DEP);
+                e
+            };
+            // Value dependences pack ahead of the outcome dependence.
             let mut n = 0;
-            for src in f.instr.sources() {
-                if let Some(seq) = last_writer[src.logical()] {
-                    deps[n] = Some(Dep::Value(seq));
+            for s in [e.meta.src1, e.meta.src2] {
+                if let Some(p) = last_writer.get(usize::from(s)).copied().flatten() {
+                    e.deps[n] = p;
                     n += 1;
                 }
             }
-            if let Some(cc) = f.cc_dep {
-                deps[n] = Some(Dep::Outcome(cc));
+            e.deps.swap(n, 2);
+            if e.meta.dest != NO_REG {
+                last_writer[usize::from(e.meta.dest)] = Some(e.seq);
             }
-            if let Some(dst) = f.instr.dest() {
-                last_writer[dst.logical()] = Some(f.seq);
-            }
-            debug_assert_eq!(f.seq, rob_base + rob.len() as u64, "seq contiguity");
+            debug_assert_eq!(e.seq, rob_base + rob.len() as u64, "seq contiguity");
             if masks_on {
                 waiting_mask |= 1u64 << rob.len();
-                issue_hints[(f.seq & 63) as usize] = 0;
+                issue_hints[(e.seq & 63) as usize] = 0;
+                waiters[(e.seq & 63) as usize] = 0;
             }
-            rob.push_back(Entry {
-                f,
-                state: EState::Waiting,
-                deps,
-                complete_cycle: u64::MAX,
-                outcome_cycle: u64::MAX,
-                uses_checkpoint: needs_ckpt,
-                mshr: None,
-                dispatch_cycle: now,
-                issue_cycle: u64::MAX,
-            });
+            rob.push_back(e);
             d += 1;
             progress = true;
         }
 
         // ---- 8. Fetch ----
-        if fetch_q.len() < 2 * cfg.issue_width as usize {
-            let before = fetch_q.len();
+        if fq.total < 2 * cfg.issue_width as usize {
+            let before = fq.total;
             if fast {
                 if fe.fetch_ready(now) {
-                    fe.fetch_fast(
-                        now,
-                        cfg.issue_width,
-                        &mut hier,
-                        &mut fetch_q,
-                        obs.as_deref_mut(),
-                    )?;
+                    fe.fetch_fast(now, cfg.issue_width, &mut hier, &mut fq, obs.as_deref_mut())?;
                 }
             } else {
-                fetch_buf.clear();
                 fe.fetch(now, cfg.issue_width, &mut hier, &mut fetch_buf, obs.as_deref_mut())?;
-                fetch_q.extend(fetch_buf.drain(..));
+                fetch_buf.drain(..).for_each(|f| fq.push_full(f));
             }
-            if fetch_q.len() > before {
+            if fq.total > before {
                 progress = true;
             }
         }
 
         // ---- 9. Termination / limits ----
-        if fe.halted() && rob.is_empty() && fetch_q.is_empty() {
+        if fe.halted() && rob.is_empty() && fq.total == 0 {
             // Halt graduated in a previous iteration (done flag), or the
             // program ended in an unusual state; either way we are finished.
             break;
@@ -947,7 +983,7 @@ pub(crate) fn run(
                     // `outcome_cycle` can precede completion (a miss's early
                     // tag probe) or follow it (a store's tag probe after its
                     // 1-cycle address generation); either way it readies
-                    // `Dep::Outcome` consumers, so when the program has
+                    // outcome consumers, so when the program has
                     // condition-code branches it is a wake-up source of its
                     // own.
                     EState::Issued => {
@@ -956,7 +992,7 @@ pub(crate) fn run(
                             h.consider(e.outcome_cycle);
                         }
                     }
-                    EState::Waiting => h.consider(e.f.fetch_cycle + cfg.frontend_depth),
+                    EState::Waiting => h.consider(e.fetch_cycle + cfg.frontend_depth),
                     EState::Complete => {
                         if has_cc_consumers {
                             h.consider(e.outcome_cycle);
@@ -971,7 +1007,7 @@ pub(crate) fn run(
                 h.consider(fe.resume_at());
             }
             if rob.front().is_some_and(|hd| {
-                hd.state == EState::Complete && matches!(hd.f.instr, Instr::Store { .. })
+                hd.state == EState::Complete && hd.meta.kind == InstrMeta::KIND_STORE
             }) {
                 // Graduation blocked on the write buffer.
                 h.consider_opt(wb_release.next_release());
@@ -995,12 +1031,7 @@ pub(crate) fn run(
                 // Attribute the skipped slots exactly as the per-cycle
                 // accounting would have.
                 let lost = skipped * width;
-                let head_is_miss_stall = rob.front().is_some_and(|hd| {
-                    hd.state != EState::Complete
-                        && hd.f.instr.is_data_ref()
-                        && hd.f.probe.is_some_and(|p| p.level.is_l1_miss())
-                });
-                if head_is_miss_stall {
+                if rob.front().and_then(Entry::pending_miss).is_some() {
                     slots.cache_stall += lost;
                 } else {
                     slots.other_stall += lost;
@@ -1294,6 +1325,28 @@ mod tests {
         let p = a.assemble().unwrap();
         let res = run(&p);
         assert_eq!(res.slots.total(), res.cycles * 4);
+    }
+
+    #[test]
+    fn malformed_configs_end_in_typed_errors() {
+        let mut a = Asm::new();
+        a.halt();
+        let p = a.assemble().unwrap();
+        let breakers: [fn(&mut OooConfig); 5] = [
+            |c| c.predictor_entries = 0,
+            |c| c.predictor_entries = 3,
+            |c| c.hier.mshrs = 0,
+            |c| c.hier.banks = 0,
+            |c| c.hier.l1d.assoc = 0,
+        ];
+        for (case, break_cfg) in breakers.iter().enumerate() {
+            let mut cfg = OooConfig::paper();
+            break_cfg(&mut cfg);
+            for limits in [RunLimits::default(), RunLimits::tick_accurate()] {
+                let err = simulate(&p, &cfg, limits).unwrap_err();
+                assert!(matches!(err, SimError::InvalidConfig(_)), "case {case}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -215,6 +215,9 @@ pub enum SimError {
     /// A checkpoint could not be decoded or does not match this session's
     /// program/configuration.
     Checkpoint(imo_util::snapshot::SnapshotError),
+    /// The core configuration is malformed (for example a predictor size
+    /// that is not a power of two, or no MSHRs); names the broken rule.
+    InvalidConfig(&'static str),
 }
 
 impl fmt::Display for SimError {
@@ -228,6 +231,7 @@ impl fmt::Display for SimError {
                 write!(f, "run paused at cycle {cycle}; use SimSession to capture the checkpoint")
             }
             SimError::Checkpoint(e) => write!(f, "checkpoint rejected: {e}"),
+            SimError::InvalidConfig(why) => write!(f, "invalid configuration: {why}"),
         }
     }
 }

@@ -64,6 +64,9 @@ impl InstrMeta {
     pub const BMISS: u8 = 1 << 5;
     /// [`Instr::Halt`].
     pub const HALT: u8 = 1 << 6;
+    /// [`Instr::BranchOnMemMiss`] — like [`InstrMeta::BMISS`], a consumer of
+    /// the previous memory operation's cache outcome.
+    pub const BMEMMISS: u8 = 1 << 7;
 
     /// `kind` value for non-memory instructions.
     pub const KIND_OTHER: u8 = 0;
@@ -115,6 +118,9 @@ impl InstrMeta {
         }
         if matches!(instr, Instr::Halt) {
             flags |= InstrMeta::HALT;
+        }
+        if matches!(instr, Instr::BranchOnMemMiss { .. }) {
+            flags |= InstrMeta::BMEMMISS;
         }
         InstrMeta { src1, src2, dest, fu, kind, flags, lat }
     }
@@ -381,6 +387,22 @@ mod tests {
         let halt = c.meta_idx(3);
         assert_ne!(halt.flags & InstrMeta::HALT, 0);
         assert_eq!(halt.kind, InstrMeta::KIND_HALT);
+    }
+
+    #[test]
+    fn bmiss_flags_tell_the_two_condition_code_branches_apart() {
+        let mut a = Asm::new();
+        let t = a.label("t");
+        a.branch_on_miss(t);
+        a.branch_on_mem_miss(t);
+        a.bind(t).unwrap();
+        a.halt();
+        let p = a.assemble().unwrap();
+        let c = BlockCache::build(&p, flat_lat);
+        let cc = InstrMeta::BMISS | InstrMeta::BMEMMISS;
+        assert_eq!(c.meta_idx(0).flags & cc, InstrMeta::BMISS);
+        assert_eq!(c.meta_idx(1).flags & cc, InstrMeta::BMEMMISS);
+        assert_eq!(c.meta_idx(2).flags & cc, 0);
     }
 
     #[test]

@@ -274,3 +274,58 @@ fn random_stop_cycles_resume_identically() {
         Ok(())
     });
 }
+
+/// A fast-path pause and a tick-accurate pause at the same cycle encode
+/// byte-identical checkpoints: the split plain-run queue, the in-order
+/// core's lazily cleared miss flags and the out-of-order core's slim ROB
+/// entries (whose `instr`, `cc_dep` and `is_cond_branch` are re-derived at
+/// encode time) leave no trace on the wire. Stops at every twelfth of each
+/// run plus a dense mid-run band. Each fast pause is a fresh run; the
+/// tick-accurate reference resumes from its previous pause, which the tests
+/// above prove equal to a straight run.
+#[test]
+fn fast_path_checkpoints_equal_tick_accurate_ones() {
+    let mut compared = 0u32;
+    for name in ["mdljsp2", "compress", "xlisp", "su2cor"] {
+        let p = (by_name(name).expect("workload exists").build)(Scale::Test);
+        for (label, scheme) in &schemes() {
+            let inst = instrument(&p, scheme).expect("instruments");
+            for machine in [Machine::default_ooo(), Machine::default_in_order()] {
+                let ctx = format!("{name}/{label} on {}", machine.name());
+                let cycles =
+                    machine.run_limited(&inst.program, RunLimits::default()).unwrap().cycles;
+                let pause = |limits: RunLimits, from: Option<&Checkpoint>| {
+                    let session =
+                        SimSession::new(&inst.program, machine.core_config()).limits(limits);
+                    let outcome = match from {
+                        Some(c) => session.resume(c),
+                        None => session.run(),
+                    };
+                    match outcome {
+                        Ok(Outcome::Paused(ckpt)) => ckpt,
+                        other => panic!("{ctx}: no pause under {limits:?}: {:?}", other.err()),
+                    }
+                };
+                let mut stops: Vec<u64> =
+                    (1..12).map(|k| k * cycles / 12).chain(cycles / 2..cycles / 2 + 6).collect();
+                stops.sort_unstable();
+                let mut tick: Option<Checkpoint> = None;
+                for stop in stops {
+                    let fast = pause(RunLimits::stop_at(stop), None);
+                    let limits =
+                        RunLimits { stop_at: Some(fast.cycle()), ..RunLimits::tick_accurate() };
+                    let t = pause(limits, tick.as_ref());
+                    // Equal trees print equal texts; print only to show a diff.
+                    if fast.to_wire() != t.to_wire() {
+                        let (f_text, t_text) = (fast.to_wire().pretty(), t.to_wire().pretty());
+                        let diff = f_text.lines().zip(t_text.lines()).find(|(f, t)| f != t);
+                        panic!("{ctx}: stop {stop}: fast vs tick-accurate line {diff:?}");
+                    }
+                    tick = Some(t);
+                    compared += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(compared, 4 * 3 * 2 * 17);
+}

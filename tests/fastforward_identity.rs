@@ -14,8 +14,9 @@ use imo_util::ensure_eq;
 use informing_memops::core::instrument::{instrument, HandlerBody, HandlerKind, Scheme};
 use informing_memops::core::Machine;
 use informing_memops::cpu::{
-    inorder, ooo, InOrderConfig, OooConfig, Outcome, RunLimits, SimSession,
+    inorder, ooo, InOrderConfig, OooConfig, Outcome, RunLimits, SimSession, TrapModel,
 };
+use informing_memops::mem::MshrMode;
 use informing_memops::obs::{Category, CategoryMask, Recorder};
 use informing_memops::workloads::{all, by_name, Scale};
 
@@ -281,6 +282,45 @@ fn random_configurations_are_tick_identical() {
             .run_limited(&inst.program, RunLimits::tick_accurate())
             .map_err(|e| format!("{name} on {} (tick): {e}", machine.name()))?;
         ensure_eq!(event, tick, "{name} on {} under {scheme:?}", machine.name());
+        Ok(())
+    });
+}
+
+/// 32 random out-of-order configurations across the three schemes. Every
+/// other identity test runs `OooConfig::paper()`; these draw ROB sizes on
+/// both sides of the 64-entry limit of the occupancy masks and wakeup lists
+/// (65 and 128 keep the full-scan path covered), narrow to wide issue,
+/// scarce functional units, checkpoints and write-buffer slots, both trap
+/// models and both MSHR modes. Event-driven must equal tick-accurate.
+#[test]
+fn random_ooo_configurations_are_tick_identical() {
+    let names: Vec<&'static str> = all().iter().map(|s| s.name).collect();
+    Checker::new("fastforward_ooo_configs").cases(32).run(|g| {
+        let mut cfg = OooConfig::paper();
+        cfg.rob_entries = *g.pick(&[1, 8, 32, 64, 65, 128]);
+        cfg.issue_width = g.int(1..9);
+        cfg.int_units = g.int(1..4);
+        cfg.fp_units = g.int(1..4);
+        cfg.mem_units = g.int(1..4);
+        cfg.branch_units = g.int(1..4);
+        cfg.max_checkpoints = g.int(1..13);
+        cfg.trap_model = *g.pick(&[TrapModel::Branch, TrapModel::Exception]);
+        cfg.write_buffer = g.int(1..9);
+        cfg.mshr_mode = *g.pick(&[MshrMode::Standard, MshrMode::ExtendedLifetime]);
+        let name = *g.pick(&names);
+        let p = (by_name(name).expect("workload exists").build)(Scale::Test);
+        let machine = Machine::OutOfOrder(cfg);
+        for (label, scheme) in &schemes() {
+            let inst = instrument(&p, scheme).map_err(|e| format!("{name}: {e}"))?;
+            let ctx = format!("{name}/{label} under {cfg:?}");
+            let event = machine
+                .run_limited(&inst.program, RunLimits::default())
+                .map_err(|e| format!("{ctx}: {e}"))?;
+            let tick = machine
+                .run_limited(&inst.program, RunLimits::tick_accurate())
+                .map_err(|e| format!("{ctx} (tick): {e}"))?;
+            ensure_eq!(event, tick, "{ctx}");
+        }
         Ok(())
     });
 }
