@@ -90,6 +90,13 @@ pub(crate) fn decode_fetched(
     })
 }
 
+/// The sequence number after `seqs` if they run `first, first + 1, …`
+/// without a gap, else `None`: a restored instruction window must continue
+/// exactly where the one before it ends.
+pub(crate) fn run_end(seqs: impl IntoIterator<Item = u64>, first: u64) -> Option<u64> {
+    seqs.into_iter().try_fold(first, |next, s| if s == next { s.checked_add(1) } else { None })
+}
+
 /// Encodes a wakeup queue as three parallel `(due, key, item)` columns in
 /// pop order plus the key counter; `item` maps the payload to a `u64`.
 pub(crate) fn wakeup_json<T: Clone>(q: &WakeupQueue<T>, item: impl Fn(&T) -> u64) -> Json {

@@ -379,6 +379,11 @@ impl<'p> FrontEnd<'p> {
         self.halted
     }
 
+    /// The sequence number the next fetched instruction will carry.
+    pub(crate) fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
     /// Consumes the front end, yielding the final architectural state
     /// (registers and data memory after the run).
     pub fn into_state(self) -> imo_isa::exec::ArchState {

@@ -327,6 +327,10 @@ fn run_loop<const OBSERVED: bool>(
         last_mem_outcome = snapshot::get_u64(body, "last_mem_outcome")?;
         now = snapshot::get_u64(body, "now")?;
         issued_total = snapshot::get_u64(body, "issued_total")?;
+        // The queue holds exactly the fetched, not yet issued instructions.
+        if ckpt::run_end(queue.iter().map(|f| f.seq), issued_total) != Some(fe.next_seq()) {
+            return Err(SnapshotError::Bad("queue").into());
+        }
         slots = ckpt::decode_slots(snapshot::field(body, "slots")?)?;
         cpi = ckpt::decode_cpi(snapshot::field(body, "cpi")?)?;
     } else {

@@ -51,77 +51,117 @@ const NO_DEP: u64 = u64::MAX;
 const OUTCOME_DEP: u64 = 1 << 63;
 
 /// Entry flag bits: the entry holds a shadow checkpoint; it took an
-/// informing trap.
+/// informing trap; it is a data reference that missed the primary cache.
 const HOLDS_CKPT: u8 = 1 << 0;
 const TRAPPED: u8 = 1 << 1;
+const L1_MISS: u8 = 1 << 2;
 
-fn entry_flags(ckpt: bool, trap: bool) -> u8 {
-    (u8::from(ckpt) * HOLDS_CKPT) | (u8::from(trap) * TRAPPED)
+fn entry_flags(ckpt: bool, f: &Fetched, meta: &InstrMeta) -> u8 {
+    let miss =
+        meta.flags & InstrMeta::DATA_REF != 0 && f.probe.is_some_and(|p| p.level.is_l1_miss());
+    (u8::from(ckpt) * HOLDS_CKPT)
+        | (u8::from(f.informing_trap) * TRAPPED)
+        | (u8::from(miss) * L1_MISS)
 }
 
-/// A reorder-buffer entry, decoded once at dispatch: the instruction's
-/// pre-decoded [`InstrMeta`] plus its dynamic state. `deps` holds producer
+/// The part of a reorder-buffer entry that issue, completion, graduation
+/// and the wakeup fold read, in one cache line: the instruction's
+/// pre-decoded [`InstrMeta`] plus its timing state. `deps` holds producer
 /// sequence numbers — value dependences in source order, then at most one
-/// [`OUTCOME_DEP`] — packed ahead of [`NO_DEP`] padding.
+/// [`OUTCOME_DEP`] — packed ahead of [`NO_DEP`] padding. The entry's own
+/// sequence number is implied by its ring slot.
 #[derive(Debug, Clone, Copy)]
-struct Entry {
-    seq: u64,
-    pc: u64,
+#[repr(align(64))]
+struct Hot {
     fetch_cycle: u64,
     complete_cycle: u64,
     /// Cycle the hit/miss outcome (memory) or direction (branch) is known.
     outcome_cycle: u64,
+    deps: [u64; 3],
+    meta: InstrMeta,
+    state: EState,
+    flags: u8,
+    resolve: Resolve,
+}
+
+const _: () = assert!(std::mem::size_of::<Hot>() <= 64);
+
+/// The part only memory issue, store graduation, traces, observation and
+/// checkpoints read.
+#[derive(Debug, Clone, Copy)]
+struct Cold {
+    pc: u64,
     dispatch_cycle: u64,
     issue_cycle: u64,
     probe: Option<ProbeResult>,
-    deps: [u64; 3],
     mshr: Option<MshrId>,
-    meta: InstrMeta,
-    state: EState,
-    resolve: Resolve,
-    flags: u8,
 }
 
-impl Entry {
-    /// A freshly dispatched entry: no probe, flags or dependences yet.
-    fn dispatched(seq: u64, pc: u64, fetch_cycle: u64, meta: InstrMeta, now: u64) -> Entry {
-        Entry {
-            seq,
-            pc,
-            fetch_cycle,
-            complete_cycle: u64::MAX,
-            outcome_cycle: u64::MAX,
-            dispatch_cycle: now,
-            issue_cycle: u64::MAX,
-            probe: None,
-            deps: [NO_DEP; 3],
-            mshr: None,
-            meta,
-            state: EState::Waiting,
-            resolve: Resolve::None,
-            flags: 0,
-        }
+impl Hot {
+    /// A freshly dispatched entry: no flags or dependences yet.
+    fn dispatched(fetch_cycle: u64, meta: InstrMeta) -> Hot {
+        let (complete_cycle, outcome_cycle, deps) = (u64::MAX, u64::MAX, [NO_DEP; 3]);
+        let (state, flags, resolve) = (EState::Waiting, 0, Resolve::None);
+        Hot { fetch_cycle, complete_cycle, outcome_cycle, deps, meta, state, flags, resolve }
     }
 
     /// The condition-code producer (the outcome dependence), if any.
     fn cc_dep(&self) -> Option<u64> {
         self.deps.iter().find(|&&d| d != NO_DEP && d & OUTCOME_DEP != 0).map(|d| d & !OUTCOME_DEP)
     }
+}
 
-    /// The level serving this entry's primary-cache miss while it is an
-    /// incomplete data reference — what a stall behind it is charged to.
-    fn pending_miss(&self) -> Option<HitLevel> {
-        let data_ref = self.meta.flags & InstrMeta::DATA_REF != 0;
-        self.probe
-            .map(|p| p.level)
-            .filter(|l| l.is_l1_miss() && data_ref && self.state != EState::Complete)
+impl Cold {
+    fn dispatched(pc: u64, now: u64) -> Cold {
+        Cold { pc, dispatch_cycle: now, issue_cycle: u64::MAX, probe: None, mshr: None }
+    }
+}
+
+/// The reorder buffer: a ring indexed by sequence number, each entry split
+/// across a [`Hot`] and a [`Cold`] array. Entry `seq` lives in slot
+/// `seq & mask` of both; `base` is the head's sequence number and `len` the
+/// occupancy, so a producer has graduated iff its sequence number is below
+/// `base`. Graduation reads the head in place and dispatch writes the tail
+/// slots: no entry is ever moved (DESIGN.md §15.5).
+struct Rob {
+    hot: Vec<Hot>,
+    cold: Vec<Cold>,
+    base: u64,
+    len: usize,
+    mask: u64,
+}
+
+impl Rob {
+    /// An empty ring whose next entry is `base`, of at least 64 slots: for
+    /// ROBs that fit a word a slot is also the `issue_hints` index.
+    fn new(entries: u32, base: u64) -> Rob {
+        let cap = (entries as usize).next_power_of_two().max(64);
+        let meta = InstrMeta { src1: 0, src2: 0, dest: 0, fu: 0, kind: 0, flags: 0, lat: 0 };
+        let (hot, cold) = (vec![Hot::dispatched(0, meta); cap], vec![Cold::dispatched(0, 0); cap]);
+        Rob { hot, cold, base, len: 0, mask: cap as u64 - 1 }
+    }
+
+    fn slot(&self, seq: u64) -> usize {
+        (seq & self.mask) as usize
+    }
+
+    /// The slot of the `i`-th oldest entry.
+    fn at(&self, i: usize) -> usize {
+        self.slot(self.base + i as u64)
+    }
+
+    /// Whether the head is an incomplete data reference that missed the
+    /// primary cache — what a stall behind it is charged to.
+    fn head_misses(&self) -> bool {
+        let e = &self.hot[self.slot(self.base)];
+        self.len > 0 && e.flags & L1_MISS != 0 && e.state != EState::Complete
     }
 }
 
 /// Encodes an entry in the wire format of the fat-entry ROB it replaced:
 /// `instr`, `cc_dep` and `is_cond_branch` are re-derived from the program
 /// text, the outcome dependence and the metadata.
-fn entry_json(program: &Program, e: &Entry) -> Json {
+fn entry_json(program: &Program, seq: u64, e: &Hot, c: &Cold) -> Json {
     let deps = e.deps.iter().filter(|&&d| d != NO_DEP).map(|&d| {
         Json::obj([
             ("kind", snapshot::u64_json(d >> 63)),
@@ -129,11 +169,11 @@ fn entry_json(program: &Program, e: &Entry) -> Json {
         ])
     });
     let f = Fetched {
-        seq: e.seq,
-        pc: e.pc,
-        instr: program.fetch(e.pc).expect("ROB entries hold text addresses"),
+        seq,
+        pc: c.pc,
+        instr: program.fetch(c.pc).expect("ROB entries hold text addresses"),
         fetch_cycle: e.fetch_cycle,
-        probe: e.probe,
+        probe: c.probe,
         informing_trap: e.flags & TRAPPED != 0,
         resolve: e.resolve,
         cc_dep: e.cc_dep(),
@@ -146,18 +186,22 @@ fn entry_json(program: &Program, e: &Entry) -> Json {
         ("complete", snapshot::u64_json(e.complete_cycle)),
         ("outcome", snapshot::u64_json(e.outcome_cycle)),
         ("ckpt", Json::Bool(e.flags & HOLDS_CKPT != 0)),
-        ("mshr", snapshot::opt_u64_json(e.mshr.map(|id| id.raw() as u64))),
-        ("dispatch", snapshot::u64_json(e.dispatch_cycle)),
-        ("issue", snapshot::u64_json(e.issue_cycle)),
+        ("mshr", snapshot::opt_u64_json(c.mshr.map(|id| id.raw() as u64))),
+        ("dispatch", snapshot::u64_json(c.dispatch_cycle)),
+        ("issue", snapshot::u64_json(c.issue_cycle)),
     ])
 }
 
+/// Decodes an [`entry_json`] record into its sequence number and halves.
+/// Dependences must name older entries, so the ring never reads a slot
+/// ahead of its consumer.
 fn decode_entry(
     program: &Program,
     cache: &BlockCache,
     cfg: &OooConfig,
     j: &Json,
-) -> Result<Entry, SnapshotError> {
+) -> Result<(u64, Hot, Cold), SnapshotError> {
+    let f = ckpt::decode_fetched(program, snapshot::field(j, "f")?)?;
     let deps_wire = snapshot::field(j, "deps")?.as_arr().ok_or(SnapshotError::Bad("deps"))?;
     if deps_wire.len() > 3 {
         return Err(SnapshotError::Bad("deps"));
@@ -166,8 +210,8 @@ fn decode_entry(
     for (slot, d) in deps.iter_mut().zip(deps_wire) {
         let seq = snapshot::get_u64(d, "seq")?;
         *slot = match snapshot::get_u64(d, "kind")? {
-            0 if seq < OUTCOME_DEP => seq,
-            1 if seq < OUTCOME_DEP => seq | OUTCOME_DEP,
+            0 if seq < f.seq.min(OUTCOME_DEP) => seq,
+            1 if seq < f.seq.min(OUTCOME_DEP) => seq | OUTCOME_DEP,
             _ => return Err(SnapshotError::Bad("deps")),
         };
     }
@@ -176,37 +220,39 @@ fn decode_entry(
         Some(_) => return Err(SnapshotError::Bad("mshr")),
         None => None,
     };
-    let f = ckpt::decode_fetched(program, snapshot::field(j, "f")?)?;
     let ckpt = match snapshot::field(j, "ckpt")? {
         Json::Bool(b) => *b,
         _ => return Err(SnapshotError::Bad("ckpt")),
     };
-    let e = Entry {
-        seq: f.seq,
-        pc: f.pc,
+    let meta = *cache.meta_at(f.pc).ok_or(SnapshotError::Bad("pc"))?;
+    let hot = Hot {
         fetch_cycle: f.fetch_cycle,
         complete_cycle: snapshot::get_u64(j, "complete")?,
         outcome_cycle: snapshot::get_u64(j, "outcome")?,
-        dispatch_cycle: snapshot::get_u64(j, "dispatch")?,
-        issue_cycle: snapshot::get_u64(j, "issue")?,
-        probe: f.probe,
         deps,
-        mshr,
-        meta: *cache.meta_at(f.pc).ok_or(SnapshotError::Bad("pc"))?,
+        meta,
         state: match snapshot::get_u64(j, "state")? {
             0 => EState::Waiting,
             1 => EState::Issued,
             2 => EState::Complete,
             _ => return Err(SnapshotError::Bad("state")),
         },
+        flags: entry_flags(ckpt, &f, &meta),
         resolve: f.resolve,
-        flags: entry_flags(ckpt, f.informing_trap),
+    };
+    let cold = Cold {
+        pc: f.pc,
+        dispatch_cycle: snapshot::get_u64(j, "dispatch")?,
+        issue_cycle: snapshot::get_u64(j, "issue")?,
+        probe: f.probe,
+        mshr,
     };
     // The re-derived fields must round-trip, or re-encoding would differ.
-    if e.cc_dep() != f.cc_dep || (e.meta.flags & InstrMeta::COND_BRANCH != 0) != f.is_cond_branch {
+    let cond_branch = hot.meta.flags & InstrMeta::COND_BRANCH != 0;
+    if hot.cc_dep() != f.cc_dep || cond_branch != f.is_cond_branch {
         return Err(SnapshotError::Bad("f"));
     }
-    Ok(e)
+    Ok((f.seq, hot, cold))
 }
 
 /// Simulates `program` to completion on the out-of-order model.
@@ -309,8 +355,7 @@ fn encode_loop(
     hier: &MemoryHierarchy,
     fe: &FrontEnd,
     mshrs: &MshrFile,
-    rob: &VecDeque<Entry>,
-    rob_base: u64,
+    rob: &Rob,
     fetch_q: &VecDeque<Fetched>,
     last_writer: &[Option<u64>; 64],
     resolve_q: &WakeupQueue<u64>,
@@ -323,12 +368,16 @@ fn encode_loop(
     slots: SlotBreakdown,
     cpi: &CpiStack,
 ) -> Json {
+    let entries = (0..rob.len).map(|i| {
+        let s = rob.at(i);
+        entry_json(program, rob.base + i as u64, &rob.hot[s], &rob.cold[s])
+    });
     Json::obj([
         ("hier", hier.to_wire()),
         ("fe", fe.encode()),
         ("mshrs", mshrs.to_wire()),
-        ("rob", Json::arr(rob.iter().map(|e| entry_json(program, e)))),
-        ("rob_base", snapshot::u64_json(rob_base)),
+        ("rob", Json::arr(entries)),
+        ("rob_base", snapshot::u64_json(rob.base)),
         ("fetch_q", Json::arr(fetch_q.iter().map(ckpt::fetched_json))),
         ("last_writer", Json::arr(last_writer.iter().map(|w| snapshot::opt_u64_json(*w)))),
         ("resolve_q", ckpt::wakeup_json(resolve_q, |&s| s)),
@@ -343,17 +392,39 @@ fn encode_loop(
     ])
 }
 
-#[allow(clippy::too_many_lines)]
 pub(crate) fn run(
     program: &Program,
     cfg: &OooConfig,
     limits: RunLimits,
-    mut trace: Option<&mut Vec<InstrTrace>>,
+    trace: Option<&mut Vec<InstrTrace>>,
     faults: Option<&imo_faults::FaultPlan>,
-    mut obs: Option<&mut Recorder>,
+    obs: Option<&mut Recorder>,
     resume: Option<&Json>,
 ) -> Result<RunOutcome, SimError> {
     cfg.validate()?;
+    // Monomorphized on "observed or not", like the in-order core: the
+    // unobserved instantiation compiles every recorder hook, trace push and
+    // the CPI classification out of the loop.
+    if obs.is_some() || trace.is_some() {
+        run_loop::<true>(program, cfg, limits, trace, faults, obs, resume)
+    } else {
+        run_loop::<false>(program, cfg, limits, trace, faults, obs, resume)
+    }
+}
+
+/// The core loop behind [`run`]; `OBSERVED == obs.is_some() || trace.is_some()`.
+#[allow(clippy::too_many_lines)]
+fn run_loop<const OBSERVED: bool>(
+    program: &Program,
+    cfg: &OooConfig,
+    limits: RunLimits,
+    trace: Option<&mut Vec<InstrTrace>>,
+    faults: Option<&imo_faults::FaultPlan>,
+    obs: Option<&mut Recorder>,
+    resume: Option<&Json>,
+) -> Result<RunOutcome, SimError> {
+    // Constant `None`s in the unobserved instantiation: every hook folds away.
+    let (mut trace, mut obs) = (trace.filter(|_| OBSERVED), obs.filter(|_| OBSERVED));
     let handler_stream = faults
         .filter(|plan| plan.config().has_handler())
         .map(|plan| (plan.handlers(), plan.config().degrade_after));
@@ -364,8 +435,7 @@ pub(crate) fn run(
     let mut hier;
     let mut fe;
     let mut mshrs;
-    let mut rob: VecDeque<Entry>;
-    let mut rob_base: u64; // seq of rob.front()
+    let mut rob: Rob;
     let mut fq: FastQueue;
     let mut last_writer: [Option<u64>; 64];
     // Future-event queues (deterministic min-heaps; see `crate::sched`).
@@ -389,35 +459,35 @@ pub(crate) fn run(
             snapshot::field(body, "fe")?,
         )?;
         mshrs = MshrFile::from_wire(snapshot::field(body, "mshrs")?)?;
-        rob = snapshot::field(body, "rob")?
-            .as_arr()
-            .ok_or(SnapshotError::Bad("rob"))?
-            .iter()
-            .map(|j| decode_entry(program, &cache, cfg, j))
-            .collect::<Result<_, _>>()?;
-        rob_base = snapshot::get_u64(body, "rob_base")?;
-        fq = FastQueue::from_restored(
-            snapshot::field(body, "fetch_q")?
-                .as_arr()
-                .ok_or(SnapshotError::Bad("fetch_q"))?
-                .iter()
-                .map(|j| ckpt::decode_fetched(program, j))
-                .collect::<Result<_, _>>()?,
-        );
-        let lw = snapshot::get_arr(body, "last_writer", |j| match j {
+        // Sequence numbers run on from `rob_base` through the ROB and the
+        // fetch queue to the front end's next one, and the ROB fits its size,
+        // or entries would share ring slots. The top bit is `OUTCOME_DEP`'s.
+        let base = snapshot::get_u64(body, "rob_base")?;
+        let entries = snapshot::get_arr(body, "rob", |j| decode_entry(program, &cache, cfg, j))?;
+        let rob_end = ckpt::run_end(entries.iter().map(|e| e.0), base)
+            .filter(|_| base < OUTCOME_DEP && entries.len() <= cfg.rob_entries as usize)
+            .ok_or(SnapshotError::Bad("rob"))?;
+        rob = Rob::new(cfg.rob_entries, base);
+        for (_, hot, cold) in entries {
+            let s = rob.at(rob.len);
+            (rob.hot[s], rob.cold[s], rob.len) = (hot, cold, rob.len + 1);
+        }
+        let fetch_q = snapshot::get_arr(body, "fetch_q", |j| ckpt::decode_fetched(program, j))?;
+        if ckpt::run_end(fetch_q.iter().map(|f| f.seq), rob_end) != Some(fe.next_seq()) {
+            return Err(SnapshotError::Bad("fetch_q").into());
+        }
+        fq = FastQueue::from_restored(fetch_q.into());
+        last_writer = snapshot::get_arr(body, "last_writer", |j| match j {
             Json::Null => Ok(None),
             Json::Str(s) => {
                 u64::from_str_radix(s, 16).map(Some).map_err(|_| SnapshotError::Bad("last_writer"))
             }
             _ => Err(SnapshotError::Bad("last_writer")),
-        })?;
-        if lw.len() != 64 {
-            return Err(SnapshotError::Bad("last_writer").into());
-        }
-        last_writer = [None; 64];
-        for (slot, w) in last_writer.iter_mut().zip(lw) {
-            *slot = w;
-        }
+        })?
+        .try_into()
+        .ok()
+        .filter(|lw: &[Option<u64>; 64]| lw.iter().flatten().all(|&w| w < rob_end))
+        .ok_or(SnapshotError::Bad("last_writer"))?;
         resolve_q = ckpt::decode_wakeup(snapshot::field(body, "resolve_q")?, "resolve_q", Ok)?;
         ckpt_release_q = ckpt::decode_wakeup(
             snapshot::field(body, "ckpt_release_q")?,
@@ -448,8 +518,7 @@ pub(crate) fn run(
             fe.set_handler_faults(stream, degrade);
         }
         mshrs = MshrFile::new(cfg.hier.mshrs, cfg.mshr_mode);
-        rob = VecDeque::with_capacity(cfg.rob_entries as usize);
-        rob_base = 0;
+        rob = Rob::new(cfg.rob_entries, 0);
         fq = FastQueue::from_restored(VecDeque::with_capacity(2 * cfg.issue_width as usize));
         last_writer = [None; 64];
         // Structural bounds: at most one pending resolution / shadow
@@ -504,32 +573,29 @@ pub(crate) fn run(
     let mut dense_ticks: u32 = 0;
 
     // ROB occupancy masks (fast mode, ROBs that fit a word): bit `i` of
-    // `waiting_mask`/`issued_mask` set ⇔ `rob[i]` is Waiting/Issued. The
-    // complete and issue stages then visit only the entries that can act,
-    // instead of scanning the whole ROB every cycle. Masks shift with
-    // `pop_front` and are rebuilt from the decoded ROB on resume.
-    let masks_on = fast && cfg.rob_entries as usize <= 64;
+    // `waiting_mask`/`issued_mask` set ⇔ the `i`-th oldest entry is
+    // Waiting/Issued. The complete and issue stages then visit only the
+    // entries that can act, instead of scanning the whole ROB every cycle.
+    // Masks shift as the head graduates and are rebuilt from the decoded ROB
+    // on resume.
+    let masks_on = fast && cfg.rob_entries <= 64;
     let mut waiting_mask: u64 = 0;
     let mut issued_mask: u64 = 0;
-    if masks_on {
-        for (i, e) in rob.iter().enumerate() {
-            match e.state {
-                EState::Waiting => waiting_mask |= 1 << i,
-                EState::Issued => issued_mask |= 1 << i,
-                EState::Complete => {}
-            }
-        }
+    for i in (0..rob.len).filter(|_| masks_on) {
+        let state = rob.hot[rob.at(i)].state;
+        waiting_mask |= u64::from(state == EState::Waiting) << i;
+        issued_mask |= u64::from(state == EState::Issued) << i;
     }
-    // Issue-stall hints (masks on): slot `seq & 63` holds a provable lower
-    // bound on the cycle at which that entry could first pass the issue
-    // checks, so the issue stage skips its dependency walk until then. Seqs
-    // are contiguous and the ROB holds at most 64 entries, so live seqs never
-    // collide. A consumer whose walk meets a still-`Waiting` producer parks:
-    // its hint becomes `u64::MAX` and its bit is set in that producer's
-    // `waiters` slot, and the producer's issue lowers the hints of everyone
-    // parked on it (DESIGN.md §15.5). Dispatch resets both slots. All-zero
-    // (recheck immediately, nobody parked) is always safe, which is why
-    // neither array is checkpointed: a resumed run parks its consumers again.
+    // Issue-stall hints (masks on): slot `seq & 63` — the entry's ring slot —
+    // holds a provable lower bound on the cycle at which that entry could
+    // first pass the issue checks, so the issue stage skips its dependency
+    // walk until then. A consumer whose walk meets a still-`Waiting`
+    // producer parks: its hint becomes `u64::MAX` and its bit is set in that
+    // producer's `waiters` slot, and the producer's issue lowers the hints
+    // of everyone parked on it (DESIGN.md §15.5). Dispatch resets both
+    // slots. All-zero (recheck immediately, nobody parked) is always safe,
+    // which is why neither array is checkpointed: a resumed run parks its
+    // consumers again.
     let mut issue_hints = [0u64; 64];
     let mut waiters = [0u64; 64];
 
@@ -537,14 +603,14 @@ pub(crate) fn run(
     // check precedes the memory checks so the handler-redirect bubbles land
     // in `Handler` (the paper's informing overhead) even when the trapping
     // load is also the miss-blocked ROB head.
-    let classify = |rob: &VecDeque<Entry>, fe: &FrontEnd| -> CpiCategory {
+    let classify = |rob: &Rob, fe: &FrontEnd| -> CpiCategory {
         if fe.blocked_on_trap() {
             return CpiCategory::Handler;
         }
-        match rob.front().and_then(Entry::pending_miss) {
+        match rob.cold[rob.slot(rob.base)].probe.map(|p| p.level) {
+            _ if !rob.head_misses() => CpiCategory::IssueStall,
             Some(HitLevel::L2) => CpiCategory::L1Miss,
-            Some(HitLevel::Memory) => CpiCategory::L2Miss,
-            _ => CpiCategory::IssueStall,
+            _ => CpiCategory::L2Miss,
         }
     };
 
@@ -561,7 +627,6 @@ pub(crate) fn run(
                     &fe,
                     &mshrs,
                     &rob,
-                    rob_base,
                     &fq.materialize(program.instrs()),
                     &last_writer,
                     &resolve_q,
@@ -588,10 +653,11 @@ pub(crate) fn run(
             progress = true;
         }
 
-        // ---- 2. Graduate ----
+        // ---- 2. Graduate (the head, in place) ----
         let mut g: u64 = 0;
-        while g < width {
-            let Some(head) = rob.front() else { break };
+        while g < width && rob.len > 0 {
+            let (seq, h) = (rob.base, rob.slot(rob.base));
+            let head = &rob.hot[h];
             if head.state != EState::Complete {
                 break;
             }
@@ -602,39 +668,41 @@ pub(crate) fn run(
                 if !wb_release.has_free(now) {
                     break; // write buffer full: stall graduation
                 }
-                let probe = head.probe.expect("stores probe the cache");
+                let probe = rob.cold[h].probe.expect("stores probe the cache");
                 let t = hier.schedule_data(probe, now);
                 wb_release.acquire_until(now, t.complete);
             }
-            let e = rob.pop_front().expect("front exists");
-            rob_base = e.seq + 1;
+            rob.base += 1;
+            rob.len -= 1;
             // A graduating head is Complete, so its mask bits are clear and
-            // the shift drops exactly its slot.
+            // the shift drops exactly its slot. The slot itself stays intact
+            // until a later dispatch reuses it.
             waiting_mask >>= 1;
             issued_mask >>= 1;
+            let (e, c) = (&rob.hot[h], &rob.cold[h]);
             if let Some(tr) = trace.as_deref_mut() {
                 tr.push(InstrTrace {
-                    seq: e.seq,
-                    pc: e.pc,
-                    instr: program.fetch(e.pc).expect("ROB entries hold text addresses"),
+                    seq,
+                    pc: c.pc,
+                    instr: program.fetch(c.pc).expect("ROB entries hold text addresses"),
                     fetch: e.fetch_cycle,
-                    dispatch: e.dispatch_cycle,
-                    issue: e.issue_cycle,
+                    dispatch: c.dispatch_cycle,
+                    issue: c.issue_cycle,
                     complete: e.complete_cycle,
                     graduate: now,
                 });
             }
-            if let Some(id) = e.mshr {
+            if let Some(id) = c.mshr {
                 mshrs.graduate(id);
             }
             if let Some(rec) = obs.as_deref_mut() {
-                rec.record(now, EventKind::Graduate { seq: e.seq });
-                if program.fetch(e.pc) == Some(Instr::JumpMhrr) {
-                    rec.record(now, EventKind::TrapReturn { seq: e.seq });
+                rec.record(now, EventKind::Graduate { seq });
+                if program.fetch(c.pc) == Some(Instr::JumpMhrr) {
+                    rec.record(now, EventKind::TrapReturn { seq });
                 }
-                if e.meta.kind == InstrMeta::KIND_LOAD && e.issue_cycle != u64::MAX {
+                if e.meta.kind == InstrMeta::KIND_LOAD && c.issue_cycle != u64::MAX {
                     rec.metrics
-                        .observe("cpu.load_to_use", e.complete_cycle.saturating_sub(e.issue_cycle));
+                        .observe("cpu.load_to_use", e.complete_cycle.saturating_sub(c.issue_cycle));
                 }
                 if e.flags & TRAPPED != 0 {
                     let resolved =
@@ -644,7 +712,7 @@ pub(crate) fn run(
                 }
             }
             if e.resolve == Resolve::AtGraduate {
-                fe.resolve(e.seq, now, cfg.redirect_penalty);
+                fe.resolve(seq, now, cfg.redirect_penalty);
             }
             if e.meta.flags & InstrMeta::HALT != 0 {
                 done = true;
@@ -659,7 +727,7 @@ pub(crate) fn run(
         slots.busy += g;
         if g < width && !done {
             let lost = width - g;
-            if rob.front().and_then(Entry::pending_miss).is_some() {
+            if rob.head_misses() {
                 slots.cache_stall += lost;
             } else {
                 slots.other_stall += lost;
@@ -686,7 +754,8 @@ pub(crate) fn run(
             while m != 0 {
                 let i = m.trailing_zeros() as usize;
                 m &= m - 1;
-                let e = &mut rob[i];
+                let s = rob.at(i);
+                let e = &mut rob.hot[s];
                 if e.complete_cycle <= now {
                     e.state = EState::Complete;
                     issued_mask &= !(1u64 << i);
@@ -694,7 +763,9 @@ pub(crate) fn run(
                 }
             }
         } else {
-            for e in rob.iter_mut() {
+            for i in 0..rob.len {
+                let s = rob.at(i);
+                let e = &mut rob.hot[s];
                 if e.state == EState::Issued && e.complete_cycle <= now {
                     e.state = EState::Complete;
                     progress = true;
@@ -716,7 +787,7 @@ pub(crate) fn run(
 
         // ---- 6. Issue (oldest-ready-first within FU limits) ----
         let mut fu_used = [0u32; 4];
-        // With masks on, visit only Waiting entries (ascending index, same
+        // With masks on, visit only Waiting entries (ascending age, same
         // order as the full scan); otherwise walk the whole ROB.
         let mut wscan = waiting_mask;
         let mut iscan = 0usize;
@@ -727,27 +798,32 @@ pub(crate) fn run(
                 }
                 let i = wscan.trailing_zeros() as usize;
                 wscan &= wscan - 1;
-                if issue_hints[((rob_base + i as u64) & 63) as usize] > now {
+                if issue_hints[rob.at(i)] > now {
                     continue; // provably cannot issue yet: skip the dep walk
                 }
                 i
             } else {
-                if iscan >= rob.len() {
+                if iscan >= rob.len {
                     break;
                 }
                 iscan += 1;
                 iscan - 1
             };
-            let e = &rob[i];
-            if e.state != EState::Waiting {
+            let (seq, s) = (rob.base + i as u64, rob.at(i));
+            let e = &rob.hot[s];
+            // Structural hazards clear next cycle: no useful bound, and no
+            // need to walk the dependences.
+            let fu = usize::from(e.meta.fu);
+            if e.state != EState::Waiting || fu_used[fu] >= fu_cap[fu] {
                 continue;
             }
             // The earliest cycle the entry can pass its timing checks. A
-            // dependence is ready once its producer has graduated (left the
-            // ROB), or — value — completed by `now`, or — outcome — left
-            // `Waiting` with its `outcome_cycle` due; each arm below is a
-            // provable lower bound on that, so a future bound is a pure
-            // filter and skipping the walk before it is exact.
+            // dependence is ready once its producer has graduated (its
+            // sequence number is below the head's), or — value — completed
+            // by `now`, or — outcome — left `Waiting` with its
+            // `outcome_cycle` due; each arm below is a provable lower bound
+            // on that, so a future bound is a pure filter and skipping the
+            // walk before it is exact.
             //
             // * A `Waiting` producer cannot ready a consumer before it
             //   issues (issuing yields completion/outcome cycles strictly in
@@ -764,14 +840,15 @@ pub(crate) fn run(
                 if d == NO_DEP {
                     break;
                 }
-                let (seq, outcome) = (d & !OUTCOME_DEP, d & OUTCOME_DEP != 0);
-                let Some(p) = seq.checked_sub(rob_base).and_then(|k| rob.get(k as usize)) else {
+                let (p_seq, outcome) = (d & !OUTCOME_DEP, d & OUTCOME_DEP != 0);
+                if p_seq < rob.base {
                     continue; // graduated
-                };
+                }
+                let p = &rob.hot[rob.slot(p_seq)];
                 bound = bound.max(match p.state {
                     EState::Waiting => {
                         if masks_on {
-                            waiters[(seq & 63) as usize] |= 1 << (e.seq & 63);
+                            waiters[(p_seq & 63) as usize] |= 1 << s;
                         }
                         u64::MAX
                     }
@@ -788,13 +865,8 @@ pub(crate) fn run(
             }
             if bound > now {
                 if masks_on {
-                    issue_hints[(e.seq & 63) as usize] = bound;
+                    issue_hints[s] = bound;
                 }
-                continue;
-            }
-            // Structural hazards clear next cycle: no useful bound.
-            let fu = usize::from(e.meta.fu);
-            if fu_used[fu] >= fu_cap[fu] {
                 continue;
             }
             fu_used[fu] += 1;
@@ -806,7 +878,7 @@ pub(crate) fn run(
 
             let (complete, outcome, alloc_mshr) = match e.meta.kind {
                 InstrMeta::KIND_LOAD => {
-                    let probe = e.probe.expect("loads probe");
+                    let probe = rob.cold[s].probe.expect("loads probe");
                     let t = hier.schedule_data(probe, now);
                     let outcome = t.start + cfg.hier.l1_latency;
                     (
@@ -816,7 +888,7 @@ pub(crate) fn run(
                     )
                 }
                 InstrMeta::KIND_PREFETCH => {
-                    if let Some(probe) = e.probe {
+                    if let Some(probe) = rob.cold[s].probe {
                         let _ = hier.schedule_data(probe, now);
                     }
                     (now + 1, now + 1, None)
@@ -833,22 +905,24 @@ pub(crate) fn run(
             if masks_on {
                 // Wake the consumers parked on this producer: none can pass
                 // before its first completion or outcome cycle.
-                let mut w = std::mem::take(&mut waiters[(e.seq & 63) as usize]);
+                let mut w = std::mem::take(&mut waiters[s]);
                 while w != 0 {
                     issue_hints[w.trailing_zeros() as usize] = complete.min(outcome);
                     w &= w - 1;
                 }
             }
-            let e = &mut rob[i];
+            let e = &mut rob.hot[s];
             e.state = EState::Issued;
-            e.issue_cycle = now;
             e.complete_cycle = complete;
             e.outcome_cycle = outcome;
-            imo_obs::record(&mut obs, now, EventKind::Issue { seq: e.seq });
+            let (flags, resolve) = (e.flags, e.resolve);
+            let c = &mut rob.cold[s];
+            c.issue_cycle = now;
+            imo_obs::record(&mut obs, now, EventKind::Issue { seq });
             if let Some((line, fill)) = alloc_mshr {
                 let fresh = mshrs.find(line).is_none();
                 if let Some(id) = mshrs.allocate(line) {
-                    e.mshr = Some(id);
+                    c.mshr = Some(id);
                     if fresh {
                         fills.push(fill, id);
                         imo_obs::record(&mut obs, now, EventKind::MshrAllocate { line });
@@ -857,24 +931,28 @@ pub(crate) fn run(
                     }
                 }
             }
-            if e.flags & HOLDS_CKPT != 0 {
+            if flags & HOLDS_CKPT != 0 {
                 ckpt_release_q.push(outcome, ());
             }
-            if e.resolve == Resolve::AtExecute {
-                resolve_q.push_keyed(outcome, e.seq, e.seq);
+            if resolve == Resolve::AtExecute {
+                resolve_q.push_keyed(outcome, seq, seq);
             }
         }
 
-        // ---- 7. Dispatch ----
+        // ---- 7. Dispatch (into the tail slots) ----
         let mut d = 0;
-        while d < cfg.issue_width && rob.len() < cfg.rob_entries as usize {
+        while d < cfg.issue_width && rob.len < cfg.rob_entries as usize {
             let Some(plain) = fq.head_is_plain() else { break };
-            let mut e = if plain {
+            let s = rob.at(rob.len);
+            let (hot, cold) = (&mut rob.hot[s], &mut rob.cold[s]);
+            let seq = if plain {
                 // A plain instruction needs no checkpoint, probe or
                 // condition-code dependence: its run descriptor and its
                 // pre-decoded metadata are the whole entry.
                 let r = fq.pop_plain();
-                Entry::dispatched(r.seq, r.pc, r.fetch_cycle, *cache.meta_idx(r.idx as usize), now)
+                *hot = Hot::dispatched(r.fetch_cycle, *cache.meta_idx(r.idx as usize));
+                *cold = Cold::dispatched(r.pc, now);
+                r.seq
             } else {
                 let f = fq.full.front().expect("full head exists");
                 let meta = *cache.meta_at(f.pc).expect("fetched addresses are in text");
@@ -884,32 +962,32 @@ pub(crate) fn run(
                 }
                 checkpoints_in_use += u32::from(needs_ckpt);
                 let f = fq.pop_full();
-                let mut e = Entry::dispatched(f.seq, f.pc, f.fetch_cycle, meta, now);
-                e.probe = f.probe;
-                e.resolve = f.resolve;
-                e.flags = entry_flags(needs_ckpt, f.informing_trap);
-                e.deps[2] = f.cc_dep.map_or(NO_DEP, |cc| cc | OUTCOME_DEP);
-                e
+                *hot = Hot::dispatched(f.fetch_cycle, meta);
+                hot.resolve = f.resolve;
+                hot.flags = entry_flags(needs_ckpt, &f, &meta);
+                hot.deps[2] = f.cc_dep.map_or(NO_DEP, |cc| cc | OUTCOME_DEP);
+                *cold = Cold { probe: f.probe, ..Cold::dispatched(f.pc, now) };
+                f.seq
             };
             // Value dependences pack ahead of the outcome dependence.
             let mut n = 0;
-            for s in [e.meta.src1, e.meta.src2] {
-                if let Some(p) = last_writer.get(usize::from(s)).copied().flatten() {
-                    e.deps[n] = p;
+            for r in [hot.meta.src1, hot.meta.src2] {
+                if let Some(p) = last_writer.get(usize::from(r)).copied().flatten() {
+                    hot.deps[n] = p;
                     n += 1;
                 }
             }
-            e.deps.swap(n, 2);
-            if e.meta.dest != NO_REG {
-                last_writer[usize::from(e.meta.dest)] = Some(e.seq);
+            hot.deps.swap(n, 2);
+            if hot.meta.dest != NO_REG {
+                last_writer[usize::from(hot.meta.dest)] = Some(seq);
             }
-            debug_assert_eq!(e.seq, rob_base + rob.len() as u64, "seq contiguity");
+            debug_assert_eq!(seq, rob.base + rob.len as u64, "seq contiguity");
             if masks_on {
-                waiting_mask |= 1u64 << rob.len();
-                issue_hints[(e.seq & 63) as usize] = 0;
-                waiters[(e.seq & 63) as usize] = 0;
+                waiting_mask |= 1u64 << rob.len;
+                issue_hints[s] = 0;
+                waiters[s] = 0;
             }
-            rob.push_back(e);
+            rob.len += 1;
             d += 1;
             progress = true;
         }
@@ -931,7 +1009,7 @@ pub(crate) fn run(
         }
 
         // ---- 9. Termination / limits ----
-        if fe.halted() && rob.is_empty() && fq.total == 0 {
+        if fe.halted() && rob.len == 0 && fq.total == 0 {
             // Halt graduated in a previous iteration (done flag), or the
             // program ended in an unusual state; either way we are finished.
             break;
@@ -978,7 +1056,8 @@ pub(crate) fn run(
             // anything at or before `now` is not a wake-up source (it
             // already had its chance this cycle).
             let mut h = Horizon::new(now);
-            for e in rob.iter() {
+            for i in 0..rob.len {
+                let e = &rob.hot[rob.at(i)];
                 match e.state {
                     // `outcome_cycle` can precede completion (a miss's early
                     // tag probe) or follow it (a store's tag probe after its
@@ -1006,9 +1085,11 @@ pub(crate) fn run(
             if !fe.halted() && fe.blocked_on().is_none() {
                 h.consider(fe.resume_at());
             }
-            if rob.front().is_some_and(|hd| {
-                hd.state == EState::Complete && hd.meta.kind == InstrMeta::KIND_STORE
-            }) {
+            let head = &rob.hot[rob.slot(rob.base)];
+            if rob.len > 0
+                && head.state == EState::Complete
+                && head.meta.kind == InstrMeta::KIND_STORE
+            {
                 // Graduation blocked on the write buffer.
                 h.consider_opt(wb_release.next_release());
             }
@@ -1031,7 +1112,7 @@ pub(crate) fn run(
                 // Attribute the skipped slots exactly as the per-cycle
                 // accounting would have.
                 let lost = skipped * width;
-                if rob.front().and_then(Entry::pending_miss).is_some() {
+                if rob.head_misses() {
                     slots.cache_stall += lost;
                 } else {
                     slots.other_stall += lost;
@@ -1045,7 +1126,6 @@ pub(crate) fn run(
             now = next;
         }
     }
-
     let cycles = now + 1;
     let total = cycles * width;
     let accounted = slots.total();

@@ -267,10 +267,11 @@ impl ReuseSketch {
         count as u64
     }
 
-    /// Advances the stream by one access to `line`; returns the reuse
-    /// classification for this access and whether the line had been
-    /// invalidated since its previous touch (flag is consumed).
-    fn touch(&mut self, line: u64) -> (Reuse, bool) {
+    /// Advances the stream by one access to `line`; returns the line's
+    /// previous state, whose invalidation flag this touch consumes. Only
+    /// [`ReuseSketch::reuse`] turns it into a distance, so hits and
+    /// prefetches never pay for the range query.
+    fn touch(&mut self, line: u64) -> LineInfo {
         let t = self.t;
         let w = self.window as u64;
         let slot = (t % w) as usize;
@@ -282,13 +283,6 @@ impl ReuseSketch {
         // One map lookup: read the previous touch and record this one.
         let info = self.lines.entry(line).or_insert(LineInfo::UNSEEN);
         let prev = std::mem::replace(info, LineInfo::touched(t));
-        let reuse = if !prev.seen() {
-            Reuse::First
-        } else if t - prev.last_t() > w {
-            Reuse::AgedOut
-        } else {
-            Reuse::Within(self.marks_between(prev.last_t(), t))
-        };
         // Move this line's marker to the current slot.
         if prev.seen() && t - prev.last_t() < w {
             let old = (prev.last_t() % w) as usize;
@@ -300,7 +294,21 @@ impl ReuseSketch {
         self.slot_line[slot] = Some(line);
         self.fen.add(slot, 1);
         self.t += 1;
-        (reuse, prev.invalidated())
+        prev
+    }
+
+    /// The reuse classification of the latest touch, given the state it
+    /// returned. Exact after the touch: the markers it moved sit at the
+    /// two positions the query excludes.
+    fn reuse(&self, prev: LineInfo) -> Reuse {
+        let t = self.t - 1;
+        if !prev.seen() {
+            Reuse::First
+        } else if t - prev.last_t() > self.window as u64 {
+            Reuse::AgedOut
+        } else {
+            Reuse::Within(self.marks_between(prev.last_t(), t))
+        }
     }
 }
 
@@ -363,28 +371,30 @@ impl Stream {
         ((line / cfg.line_bytes) % cfg.l1_sets.max(1)) as usize
     }
 
-    /// Feeds one demand reference; returns the miss class when it missed.
+    /// Feeds one demand reference; returns the miss class and reuse when
+    /// it missed.
     fn demand(
         &mut self,
         line: u64,
         served: ServedBy,
         cfg: &AttribConfig,
-    ) -> (Option<MissClass>, Reuse) {
+    ) -> Option<(MissClass, Reuse)> {
         self.demand_refs += 1;
         let set = self.set_of(line, cfg);
         self.set_refs[set] += 1;
-        let (reuse, invalidated) = self.sketch.touch(line);
+        let prev = self.sketch.touch(line);
         if served == ServedBy::L1 {
-            return (None, reuse);
+            return None;
         }
+        let reuse = self.sketch.reuse(prev);
         self.demand_misses += 1;
         self.set_misses[set] += 1;
         if served == ServedBy::Memory {
             self.mem_served += 1;
         }
-        let class = classify(reuse, invalidated, cfg.l1_lines);
+        let class = classify(reuse, prev.invalidated(), cfg.l1_lines);
         self.classes[class.idx()] += 1;
-        (Some(class), reuse)
+        Some((class, reuse))
     }
 
     fn classified_total(&self) -> u64 {
@@ -460,14 +470,14 @@ impl Attribution {
                     self.cpu.sketch.touch(line);
                     return;
                 }
-                let (class, reuse) = self.cpu.demand(line, served, &self.cfg);
+                let missed = self.cpu.demand(line, served, &self.cfg);
                 let pc_stats = self.pcs.entry(pc).or_insert_with(PcStats::new);
                 pc_stats.refs += 1;
                 if store {
                     pc_stats.stores += 1;
                 }
                 pc_stats.pattern.observe(addr, ptr_base);
-                if let Some(class) = class {
+                if let Some((class, reuse)) = missed {
                     pc_stats.misses += 1;
                     pc_stats.classes[class.idx()] += 1;
                     match served {
@@ -975,8 +985,8 @@ mod tests {
         s.touch(20);
         s.touch(30);
         // Distinct lines since line 10: {20, 30} = 2, not 3 touches.
-        let (reuse, _) = s.touch(10);
-        assert_eq!(reuse, Reuse::Within(2));
+        let prev = s.touch(10);
+        assert_eq!(s.reuse(prev), Reuse::Within(2));
     }
 
     #[test]
@@ -984,9 +994,9 @@ mod tests {
         let mut s = ReuseSketch::new(4);
         for round in 0..10u64 {
             for line in 0..3u64 {
-                let (reuse, _) = s.touch(line * 64);
+                let prev = s.touch(line * 64);
                 if round > 0 {
-                    assert_eq!(reuse, Reuse::Within(2), "round {round} line {line}");
+                    assert_eq!(s.reuse(prev), Reuse::Within(2), "round {round} line {line}");
                 }
             }
         }

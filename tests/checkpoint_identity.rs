@@ -13,10 +13,13 @@
 use imo_faults::{FaultConfig, FaultPlan};
 use imo_util::check::Checker;
 use imo_util::ensure_eq;
-use imo_util::snapshot::Snapshot;
+use imo_util::snapshot::{Snapshot, SnapshotError};
 use informing_memops::core::instrument::{instrument, HandlerBody, HandlerKind, Scheme};
 use informing_memops::core::Machine;
-use informing_memops::cpu::{Checkpoint, Outcome, RunLimits, RunResult, SimSession};
+use informing_memops::cpu::{
+    Checkpoint, OooConfig, Outcome, RunLimits, RunResult, SimError, SimSession, TrapModel,
+};
+use informing_memops::mem::MshrMode;
 use informing_memops::obs::Recorder;
 use informing_memops::util::json::{parse, Json};
 use informing_memops::workloads::{all, by_name, Scale};
@@ -328,4 +331,132 @@ fn fast_path_checkpoints_equal_tick_accurate_ones() {
         }
     }
     assert_eq!(compared, 4 * 3 * 2 * 17);
+}
+
+/// Random out-of-order configurations, drawn as
+/// `tests/fastforward_identity.rs` draws them (ROBs of 1 to 128 entries,
+/// issue width, units, checkpoints, trap model, write buffer, MSHR mode): a
+/// fast-path pause and a tick-accurate pause at the same cycle print the
+/// same wire text, and resuming from either lands on the uninterrupted
+/// result. This carries the reorder-buffer ring's non-power-of-two and
+/// over-64-entry sizes through checkpoints.
+#[test]
+fn random_ooo_configurations_checkpoint_identically() {
+    let names: Vec<&'static str> = all().iter().map(|s| s.name).collect();
+    Checker::new("checkpoint_ooo_configs").cases(24).run(|g| {
+        let mut cfg = OooConfig::paper();
+        cfg.rob_entries = *g.pick(&[1, 8, 32, 64, 65, 128]);
+        cfg.issue_width = g.int(1..9);
+        cfg.int_units = g.int(1..4);
+        cfg.fp_units = g.int(1..4);
+        cfg.mem_units = g.int(1..4);
+        cfg.branch_units = g.int(1..4);
+        cfg.max_checkpoints = g.int(1..13);
+        cfg.trap_model = *g.pick(&[TrapModel::Branch, TrapModel::Exception]);
+        cfg.write_buffer = g.int(1..9);
+        cfg.mshr_mode = *g.pick(&[MshrMode::Standard, MshrMode::ExtendedLifetime]);
+        let name = *g.pick(&names);
+        let (label, scheme) = *g.pick(&schemes());
+        let p = (by_name(name).expect("workload exists").build)(Scale::Test);
+        let inst = instrument(&p, &scheme).map_err(|e| format!("{name}: {e}"))?;
+        let machine = Machine::OutOfOrder(cfg);
+        let ctx = format!("{name}/{label} under {cfg:?}");
+        let baseline = machine
+            .run_limited(&inst.program, RunLimits::default())
+            .map_err(|e| format!("{ctx}: {e}"))?;
+        let session = || SimSession::new(&inst.program, machine.core_config());
+        let pause = |limits: RunLimits| match session().limits(limits).run() {
+            Ok(Outcome::Paused(ckpt)) => Ok(ckpt),
+            other => Err(format!("{ctx}: no pause under {limits:?}: {:?}", other.err())),
+        };
+        let fast = pause(RunLimits::stop_at(g.int(1..baseline.cycles.max(2))))?;
+        let tick = pause(RunLimits { stop_at: Some(fast.cycle()), ..RunLimits::tick_accurate() })?;
+        ensure_eq!(
+            fast.to_wire().pretty(),
+            tick.to_wire().pretty(),
+            "{ctx}: fast vs tick-accurate"
+        );
+        for ckpt in [&fast, &tick] {
+            let (back, _) = wire_trip(ckpt);
+            match session().resume(&back).map_err(|e| format!("{ctx} resume: {e}"))? {
+                Outcome::Complete { result, .. } => ensure_eq!(result, baseline, "{ctx}"),
+                Outcome::Paused(c) => return Err(format!("{ctx}: second pause at {}", c.cycle())),
+            }
+        }
+        Ok(())
+    });
+}
+
+/// The object member `key` of `j`, for editing wire JSON in place.
+fn member<'a>(j: &'a mut Json, key: &str) -> &'a mut Json {
+    match j {
+        Json::Obj(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == key).expect("member exists").1,
+        _ => panic!("{key}: not an object"),
+    }
+}
+
+/// A checkpoint whose instruction window no longer runs contiguously up to
+/// the front end's next sequence number — an out-of-order ROB longer than
+/// the machine's, or with duplicated or rotated entries; a fetch queue that
+/// repeats a ROB entry; an in-order queue with duplicates or rotated — or
+/// whose register last-writer table names an instruction not yet
+/// dispatched, is refused with a typed error on resume, never a panic,
+/// while the untampered checkpoint still resumes onto the uninterrupted
+/// result.
+#[test]
+fn tampered_instruction_windows_are_rejected() {
+    let p = (by_name("compress").expect("workload exists").build)(Scale::Test);
+    let scheme =
+        Scheme::Trap { handlers: HandlerKind::Single, body: HandlerBody::Generic { len: 10 } };
+    let inst = instrument(&p, &scheme).expect("instruments");
+    // Each tamper edits the checkpoint body; `window` reaches one of its
+    // instruction arrays.
+    type Tamper = fn(&mut Json);
+    fn window<'a>(body: &'a mut Json, key: &str) -> &'a mut Vec<Json> {
+        let Json::Arr(v) = member(body, key) else { panic!("{key} is an array") };
+        assert!(v.len() >= 2, "{key} holds {} entries, too few to tamper", v.len());
+        v
+    }
+    fn dup_last(v: &mut Vec<Json>, n: usize) {
+        let last = v.last().expect("window is not empty").clone();
+        v.extend(std::iter::repeat_n(last, n));
+    }
+    let ooo: [(&str, Tamper); 5] = [
+        ("rob: 60 duplicates", |b| dup_last(window(b, "rob"), 60)),
+        ("rob: one duplicate", |b| dup_last(window(b, "rob"), 1)),
+        ("rob: rotated", |b| window(b, "rob").rotate_left(1)),
+        ("fetch_q: repeats the ROB's last entry", |b| {
+            let last = window(b, "rob").last().and_then(|e| e.get("f")).cloned();
+            let Json::Arr(q) = member(b, "fetch_q") else { panic!("fetch_q is an array") };
+            q.insert(0, last.expect("ROB entries carry a fetch record"));
+        }),
+        ("last_writer: names an instruction not yet dispatched", |b| {
+            window(b, "last_writer")[1] = Json::Str("7fffffffffff".to_string());
+        }),
+    ];
+    let in_order: [(&str, Tamper); 2] = [
+        ("queue: 100 duplicates", |b| dup_last(window(b, "queue"), 100)),
+        ("queue: rotated", |b| window(b, "queue").rotate_left(1)),
+    ];
+    for (machine, cases) in
+        [(Machine::default_ooo(), &ooo[..]), (Machine::default_in_order(), &in_order[..])]
+    {
+        let session = || SimSession::new(&inst.program, machine.core_config());
+        let baseline = complete(session().run().expect("uninterrupted run"));
+        let Ok(Outcome::Paused(ckpt)) = session().limits(RunLimits::stop_at(3000)).run() else {
+            panic!("{}: must pause at cycle 3000", machine.name())
+        };
+        let wire = ckpt.to_wire();
+        for &(label, tamper) in cases {
+            let mut w = wire.clone();
+            tamper(member(member(&mut w, "data"), "body"));
+            let back = Checkpoint::from_wire(&w).expect("the envelope still decodes");
+            match session().resume(&back) {
+                Err(SimError::Checkpoint(SnapshotError::Bad(_))) => {}
+                other => panic!("{} {label}: {:?}", machine.name(), other.map(|_| ())),
+            }
+        }
+        let resumed = session().resume(&ckpt).expect("untampered checkpoint resumes");
+        assert_eq!(complete(resumed), baseline, "{}: untampered resume", machine.name());
+    }
 }
